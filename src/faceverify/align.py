@@ -27,8 +27,6 @@ __all__ = [
     "estimate_similarity",
     "warp_image",
     "warp_to_canonical",
-    "crop_region",
-    "resize_square",
     "read_landmark_file",
 ]
 
@@ -124,11 +122,6 @@ class CanonicalFrame:
             raise ValueError(f"canonical layout needs {NUM_LANDMARKS} points, got {pts.shape}")
         object.__setattr__(self, "landmarks", pts)
 
-    def interocular_distance(self) -> float:
-        left = 0.5 * (self.landmarks[0] + self.landmarks[1])
-        right = 0.5 * (self.landmarks[2] + self.landmarks[3])
-        return float(np.linalg.norm(right - left))
-
 
 def estimate_similarity(src: np.ndarray | LandmarkSet, dst: np.ndarray | LandmarkSet) -> SimilarityTransform:
     """Least-squares similarity transform taking src points onto dst points.
@@ -188,39 +181,6 @@ def warp_to_canonical(img: np.ndarray, transform: SimilarityTransform, frame: Ca
     """Warp a source image into the canonical frame."""
     frame = frame or CanonicalFrame()
     return warp_image(img, transform, frame.height, frame.width)
-
-
-def crop_region(img: np.ndarray, center: tuple[float, float], side: int = 125) -> np.ndarray:
-    """Extract a side x side square around center, zero-padded at borders.
-
-    The top-left corner is floor(center - (side-1)/2 + 0.5), so a crop
-    centered on the image center with side == image size returns the
-    whole image.
-    """
-    if side <= 0:
-        raise ValueError(f"side must be positive, got {side}")
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
-    cx, cy = center
-    x_start = int(math.floor(cx - (side - 1) / 2.0 + 0.5))
-    y_start = int(math.floor(cy - (side - 1) / 2.0 + 0.5))
-
-    out_shape = (side, side) + img.shape[2:]
-    out = np.zeros(out_shape, dtype=np.float64)
-    src_y0, src_y1 = max(y_start, 0), min(y_start + side, h)
-    src_x0, src_x1 = max(x_start, 0), min(x_start + side, w)
-    if src_y0 < src_y1 and src_x0 < src_x1:
-        out[src_y0 - y_start : src_y1 - y_start, src_x0 - x_start : src_x1 - x_start] = img[src_y0:src_y1, src_x0:src_x1]
-    return out
-
-
-def resize_square(img: np.ndarray, out_size: int) -> np.ndarray:
-    """Resize a square image with a pure-scale warp (scale = out/in)."""
-    h, w = img.shape[:2]
-    if h != w:
-        raise ValueError(f"resize_square expects a square image, got {h}x{w}")
-    scale = out_size / h
-    return warp_image(img, SimilarityTransform(scale, 0.0, 0.0, 0.0), out_size, out_size)
 
 
 def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:

@@ -20,7 +20,7 @@ from faceverify import align as al
 from faceverify import evaluation as ev
 from faceverify import pipeline as pl
 from faceverify import pnm, storage, templates
-from faceverify.metric import MetricTrainConfig, cosine_matrix, similarity_matrix, train_metric
+from faceverify.metric import MetricTrainConfig, train_metric
 from faceverify.micronet import TrainConfig, build_face_net, extract_features, train
 
 IMAGE_SUFFIXES = (".pgm", ".ppm")
@@ -169,14 +169,11 @@ def cmd_train_metric(args) -> int:
 def cmd_score(args) -> int:
     gallery, gallery_ids = storage.read_features(args.gallery)
     probe, probe_ids = storage.read_features(args.probe)
-    if args.scorer == "jointbayes":
-        if not args.model:
-            print("score: --model required for jointbayes", file=sys.stderr)
-            return 2
-        model = storage.read_metric_model(args.model)
-        scores = similarity_matrix(model, gallery, probe)
-    else:
-        scores = cosine_matrix(gallery, probe)
+    if args.scorer == "jointbayes" and not args.model:
+        print("score: --model required for jointbayes", file=sys.stderr)
+        return 2
+    model = storage.read_metric_model(args.model) if args.model else None
+    scores = templates.score_templates(gallery, probe, args.scorer, model)
     templates.write_score_matrix(args.out, scores, gallery_ids, probe_ids)
     print(f"score: {scores.shape[0]}x{scores.shape[1]} matrix -> {args.out}")
     return 0
@@ -184,25 +181,22 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scores, gallery_ids, probe_ids = templates.read_score_matrix(args.scores)
-    rows = templates.read_manifest(args.manifest)
     subject_of_template = {}
-    for r in rows:
+    for r in templates.read_manifest(args.manifest):
         subject_of_template.setdefault(r.template_id, r.subject_id)
-    gallery_subjects = [subject_of_template[g] for g in gallery_ids]
-    probe_subjects = [subject_of_template[p] for p in probe_ids]
-
-    labels = np.where(
-        np.array(gallery_subjects)[:, None] == np.array(probe_subjects)[None, :], 1, -1
-    )
-    curve = ev.roc(scores.ravel(), labels.ravel())
-    result = ev.cmc(scores, gallery_subjects, probe_subjects)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ev.emit_curves(curve, result, out_dir / "roc.csv", out_dir / "cmc.csv")
-    fars = [float(v) for v in args.fars.split(",")]
-    ranks = [int(v) for v in args.ranks.split(",")]
-    lines = [f"tar@far={f:g},{ev.tar_at_far(curve, f):.6f}" for f in fars]
-    lines += [f"rank-{k},{result.rank(min(k, len(result.accuracies))):.6f}" for k in ranks]
+    tars, accuracies = ev.evaluate_split(
+        scores,
+        [subject_of_template[g] for g in gallery_ids],
+        [subject_of_template[p] for p in probe_ids],
+        [float(v) for v in args.fars.split(",")],
+        [int(v) for v in args.ranks.split(",")],
+        out_dir / "roc.csv",
+        out_dir / "cmc.csv",
+    )
+    lines = [f"tar@far={f:g},{tar:.6f}" for f, tar in tars.items()]
+    lines += [f"rank-{k},{acc:.6f}" for k, acc in accuracies.items()]
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("evaluate:", "; ".join(lines))
     return 0
@@ -309,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score gallery x probe templates")
     p.add_argument("--gallery", required=True)
     p.add_argument("--probe", required=True)
-    p.add_argument("--scorer", choices=("cosine", "jointbayes"), default="cosine")
+    p.add_argument("--scorer", choices=templates.SCORERS, default="cosine")
     p.add_argument("--model", default="")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_score)
@@ -318,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--fars", default="0.01,0.1")
-    p.add_argument("--ranks", default="1,5,10")
+    p.add_argument("--fars", default=",".join(f"{f:g}" for f in ev.DEFAULT_FARS))
+    p.add_argument("--ranks", default=",".join(str(k) for k in ev.DEFAULT_RANKS))
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("fuse", help="sum two score matrices")
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--splits", type=int, default=None)
-    p.add_argument("--scorer", choices=("cosine", "jointbayes"), default=None)
+    p.add_argument("--scorer", choices=templates.SCORERS, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_report)
 

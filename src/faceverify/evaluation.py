@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_FARS",
+    "DEFAULT_RANKS",
     "RocCurve",
     "CmcResult",
     "roc",
@@ -31,10 +33,15 @@ __all__ = [
     "aggregate_splits",
     "lfw_protocol",
     "emit_curves",
-    "read_curve_file",
+    "evaluate_split",
     "read_pair_file",
     "write_pair_file",
 ]
+
+
+# Operating points reported per split unless a run asks for others.
+DEFAULT_FARS = (1e-2, 1e-1)
+DEFAULT_RANKS = (1, 5, 10)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,8 @@ def roc(scores, labels) -> RocCurve:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-D arrays")
+    if not np.isfinite(scores).all():
+        raise ValueError("ROC scores must be finite")
     pos = scores[labels > 0]
     neg = scores[labels <= 0]
     if len(pos) == 0 or len(neg) == 0:
@@ -104,6 +113,8 @@ def cmc(sim_matrix, gallery_subjects, probe_subjects, on_missing: str = "error")
     probe_subjects = np.asarray(probe_subjects)
     if sim.shape != (len(gallery_subjects), len(probe_subjects)):
         raise ValueError(f"matrix shape {sim.shape} does not match subject list lengths")
+    if not np.isfinite(sim).all():
+        raise ValueError("CMC scores must be finite")
     n_gallery = len(gallery_subjects)
 
     ranks = []
@@ -193,12 +204,20 @@ def emit_curves(curve: RocCurve, cmc_result: CmcResult, roc_path, cmc_path) -> N
             writer.writerow([k, f"{acc:.17g}"])
 
 
-def read_curve_file(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in rec] for rec in reader if rec]
-    return header, np.asarray(rows, dtype=np.float64)
+def evaluate_split(
+    scores, gallery_subjects, probe_subjects, fars, ranks, roc_path, cmc_path
+) -> tuple[dict, dict]:
+    """ROC and CMC of one gallery x probe score matrix, with a pair
+    labelled +1 where gallery and probe subjects agree.  Writes both
+    curve tables and returns ({far: TAR}, {k: rank-k accuracy}); a rank
+    past the gallery size reads the last rank."""
+    labels = np.where(np.asarray(gallery_subjects)[:, None] == np.asarray(probe_subjects)[None, :], 1, -1)
+    curve = roc(np.ravel(scores), labels.ravel())
+    result = cmc(scores, gallery_subjects, probe_subjects)
+    emit_curves(curve, result, roc_path, cmc_path)
+    tars = {f: tar_at_far(curve, f) for f in fars}
+    accuracies = {k: result.rank(min(k, len(result.accuracies))) for k in ranks}
+    return tars, accuracies
 
 
 def read_pair_file(path) -> list[tuple[str, str, int]]:

@@ -15,7 +15,6 @@ from faceverify.micronet.layers import (
     MaxPool2x2,
     PReLU,
     SoftmaxXent,
-    prelu,
     softmax,
 )
 from faceverify.micronet.network import (
@@ -43,7 +42,6 @@ __all__ = [
     "MaxPool2x2",
     "PReLU",
     "SoftmaxXent",
-    "prelu",
     "softmax",
     "LayerSpec",
     "Network",

@@ -29,14 +29,8 @@ __all__ = [
     "Dropout",
     "Dense",
     "SoftmaxXent",
-    "prelu",
     "softmax",
 ]
-
-
-def prelu(x, slope):
-    """Parametric rectifier: x for x >= 0, slope * x otherwise."""
-    return np.where(np.asarray(x) >= 0, x, slope * np.asarray(x))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -375,10 +369,9 @@ class SoftmaxXent(Layer):
         self._probs = None
 
     def forward(self, logits, train=False, rng=None):
-        probs = softmax(logits)
-        if train:
-            self._probs = probs
-        return probs
+        # kept in both modes: loss() reads the latest forward's probabilities
+        self._probs = softmax(logits)
+        return self._probs
 
     def loss(self, labels: np.ndarray) -> float:
         n = self._probs.shape[0]

@@ -13,6 +13,7 @@ second and fourth convolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from faceverify.micronet.layers import (
     SoftmaxXent,
 )
 
-__all__ = ["LayerSpec", "NetworkSpec", "Network", "build_face_net", "extract_features"]
+__all__ = ["LAYER_KINDS", "LayerSpec", "NetworkSpec", "Network", "build_face_net", "extract_features"]
 
 # (channels per conv, normalization after conv index) for the stock net;
 # block boundaries get a 2x2 max pool.
@@ -44,8 +45,38 @@ _NORM_AFTER = {1, 3}  # conv indices (0-based) followed by cross-channel norm
 
 
 @dataclass(frozen=True)
+class LayerKind:
+    """Everything the spec side knows about one layer kind."""
+
+    cls: type
+    fields: tuple  # LayerSpec fields, passed to cls in this (checkpoint) order
+    takes_dtype: bool  # cls also takes the compute dtype (parametrized layers)
+    output_shape: Callable  # (input shape, LayerSpec) -> output shape
+
+
+def _same_shape(shape, spec):
+    return shape
+
+
+LAYER_KINDS = {
+    k.cls.kind: k
+    for k in (
+        LayerKind(Conv3x3, ("in_channels", "out_channels"), True, lambda s, spec: (s[0], s[1], spec.out_channels)),
+        LayerKind(PReLU, ("in_channels",), True, _same_shape),
+        LayerKind(CrossChannelNorm, ("size", "alpha", "beta", "k"), False, _same_shape),
+        LayerKind(MaxPool2x2, (), False, lambda s, spec: ((s[0] + 1) // 2, (s[1] + 1) // 2, s[2])),
+        LayerKind(GlobalAvgPool, (), False, lambda s, spec: (1, 1, s[2])),
+        LayerKind(Dropout, ("rate",), False, _same_shape),
+        LayerKind(Dense, ("in_channels", "out_channels"), True, lambda s, spec: (spec.out_channels,)),
+        LayerKind(SoftmaxXent, (), False, _same_shape),
+    )
+}
+
+
+@dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer."""
+    """Declarative description of one layer; LAYER_KINDS says which
+    fields its kind reads."""
 
     kind: str
     in_channels: int = 0
@@ -57,24 +88,14 @@ class LayerSpec:
     k: float = 1.0
     name: str = ""
 
+    def __post_init__(self):
+        if self.kind not in LAYER_KINDS:
+            raise ValueError(f"unknown layer kind {self.kind!r}")
+
     def build(self, dtype=np.float64) -> Layer:
-        if self.kind == "conv3x3":
-            return Conv3x3(self.in_channels, self.out_channels, dtype=dtype)
-        if self.kind == "prelu":
-            return PReLU(self.in_channels, dtype=dtype)
-        if self.kind == "lrn":
-            return CrossChannelNorm(self.size, self.alpha, self.beta, self.k)
-        if self.kind == "maxpool2x2s2":
-            return MaxPool2x2()
-        if self.kind == "avgpool_global":
-            return GlobalAvgPool()
-        if self.kind == "dropout":
-            return Dropout(self.rate)
-        if self.kind == "fully_connected":
-            return Dense(self.in_channels, self.out_channels, dtype=dtype)
-        if self.kind == "softmax_xent":
-            return SoftmaxXent()
-        raise ValueError(f"unknown layer kind {self.kind!r}")
+        kind = LAYER_KINDS[self.kind]
+        args = [getattr(self, f) for f in kind.fields]
+        return kind.cls(*args, dtype=dtype) if kind.takes_dtype else kind.cls(*args)
 
 
 @dataclass(frozen=True)
@@ -91,15 +112,7 @@ class NetworkSpec:
         shapes: list[tuple] = []
         shape: tuple = self.input_shape
         for spec in self.layers:
-            if spec.kind == "conv3x3":
-                shape = (shape[0], shape[1], spec.out_channels)
-            elif spec.kind == "maxpool2x2s2":
-                shape = ((shape[0] + 1) // 2, (shape[1] + 1) // 2, shape[2])
-            elif spec.kind == "avgpool_global":
-                shape = (1, 1, shape[2])
-            elif spec.kind == "fully_connected":
-                shape = (spec.out_channels,)
-            # prelu/lrn/dropout/softmax keep their input shape
+            shape = LAYER_KINDS[spec.kind].output_shape(shape, spec)
             shapes.append(shape)
         return shapes
 

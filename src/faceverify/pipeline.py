@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from faceverify.evaluation import aggregate_splits, cmc, emit_curves, roc, tar_at_far
+from faceverify.evaluation import DEFAULT_FARS, DEFAULT_RANKS, aggregate_splits, evaluate_split
 from faceverify.linalg import derive_seed, make_rng
 from faceverify.metric import (
     MetricTrainConfig,
@@ -27,6 +27,7 @@ from faceverify.metric import (
 )
 from faceverify.storage import read_features, write_features, write_metric_model
 from faceverify.templates import (
+    SCORERS,
     ManifestRow,
     build_templates,
     check_split_disjoint,
@@ -60,8 +61,8 @@ class PipelineConfig:
     synth_s_eps: float = 0.25
     # protocol
     train_fraction: float = 2.0 / 3.0
-    fars: tuple = (1e-2, 1e-1)
-    ranks: tuple = (1, 5, 10)
+    fars: tuple = DEFAULT_FARS
+    ranks: tuple = DEFAULT_RANKS
     # metric training: steps sized for the unit-margin objective on the
     # synthetic desk-scale sets (library defaults in MetricTrainConfig are
     # much smaller; these are the documented values used by the runs here)
@@ -82,7 +83,7 @@ class PipelineConfig:
         )
 
     def validate(self) -> None:
-        if self.scorer not in ("cosine", "jointbayes"):
+        if self.scorer not in SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
         if self.splits < 1:
             raise ValueError("need at least one split")
@@ -205,12 +206,6 @@ def make_split_manifest(
     return rows
 
 
-def _pair_labels(gallery, probe) -> np.ndarray:
-    gs = np.array([t.subject_id for t in gallery])
-    ps = np.array([t.subject_id for t in probe])
-    return np.where(gs[:, None] == ps[None, :], 1, -1)
-
-
 def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     """Full deterministic run; returns the aggregated report."""
     cfg.validate()
@@ -244,27 +239,25 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
 
         gallery = build_templates(rows, feats, media_ids, role="gallery")
         probe = build_templates(rows, feats, media_ids, role="probe")
+        pooled = {}
         for name, templates in (("gallery", gallery), ("probe", probe)):
-            write_features(
-                split_dir / f"{name}.jvfe",
-                np.stack([t.pooled_feature for t in templates]),
-                [t.template_id for t in templates],
-            )
+            pooled[name] = np.stack([t.pooled_feature for t in templates])
+            write_features(split_dir / f"{name}.jvfe", pooled[name], [t.template_id for t in templates])
 
-        scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
+        scores = score_templates(pooled["gallery"], pooled["probe"], scorer=cfg.scorer, model=model)
         write_score_matrix(
             split_dir / "scores.csv", scores, [t.template_id for t in gallery], [t.template_id for t in probe]
         )
 
-        labels = _pair_labels(gallery, probe)
-        curve = roc(scores.ravel(), labels.ravel())
-        result = cmc(scores, [t.subject_id for t in gallery], [t.subject_id for t in probe])
-        emit_curves(curve, result, split_dir / "roc.csv", split_dir / "cmc.csv")
+        tars, accuracies = evaluate_split(
+            scores, [t.subject_id for t in gallery], [t.subject_id for t in probe],
+            cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv",
+        )
         for f in cfg.fars:
-            report.tar_by_far[f].append(tar_at_far(curve, f))
+            report.tar_by_far[f].append(tars[f])
         for k in cfg.ranks:
-            report.rank_accuracy[k].append(result.rank(min(k, len(result.accuracies))))
-        log.info("split %d done: %s", s, {f: report.tar_by_far[f][-1] for f in cfg.fars})
+            report.rank_accuracy[k].append(accuracies[k])
+        log.info("split %d done: %s", s, tars)
 
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     return report

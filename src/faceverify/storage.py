@@ -15,12 +15,14 @@ Three little-endian binary formats, each opened by a four-byte magic:
 from __future__ import annotations
 
 import struct
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from faceverify.metric import JointBayesModel
-from faceverify.micronet.network import LayerSpec, Network, NetworkSpec
+from faceverify.micronet.network import LAYER_KINDS, LayerSpec, Network, NetworkSpec
 
 __all__ = [
     "write_checkpoint",
@@ -36,16 +38,19 @@ CHECKPOINT_VERSION = 1
 FEATURE_MAGIC = b"JVFE"
 METRIC_MAGIC = b"JVJB"
 
-_LAYER_FIELDS = {
-    "conv3x3": ("in_channels", "out_channels"),
-    "prelu": ("in_channels",),
-    "lrn": ("size", "alpha", "beta", "k"),
-    "maxpool2x2s2": (),
-    "avgpool_global": (),
-    "dropout": ("rate",),
-    "fully_connected": ("in_channels", "out_channels"),
-    "softmax_xent": (),
-}
+_FIELD_TYPES = typing.get_type_hints(LayerSpec)
+
+
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what}")
+    return data
+
+
+def _expect_end(fh, path, what: str) -> None:
+    if fh.read(1):
+        raise ValueError(f"{path}: trailing bytes after {what}")
 
 
 def _spec_to_text(net: Network) -> str:
@@ -58,10 +63,22 @@ def _spec_to_text(net: Network) -> str:
         parts = [f"layer={spec.kind}"]
         if spec.name:
             parts.append(f"name={spec.name}")
-        for f in _LAYER_FIELDS[spec.kind]:
+        for f in LAYER_KINDS[spec.kind].fields:
             parts.append(f"{f}={getattr(spec, f)!r}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def _layer_from_text(line: str) -> LayerSpec:
+    pairs = [part.split("=", 1) for part in line.split(" ")]
+    fields = dict(pairs)
+    if len(fields) != len(pairs):
+        raise ValueError(f"repeated key in {line!r}")
+    spec = LayerSpec(fields.pop("layer"), name=fields.pop("name", ""))
+    expected = LAYER_KINDS[spec.kind].fields
+    if sorted(fields) != sorted(expected):
+        raise ValueError(f"layer {spec.kind} takes fields {', '.join(expected) or '(none)'}, got {line!r}")
+    return replace(spec, **{f: _FIELD_TYPES[f](raw) for f, raw in fields.items()})
 
 
 def _spec_from_text(text: str) -> tuple[NetworkSpec, float]:
@@ -80,14 +97,7 @@ def _spec_from_text(text: str) -> tuple[NetworkSpec, float]:
         elif line.startswith("input_mean="):
             input_mean = float(line.split("=", 1)[1])
         elif line.startswith("layer="):
-            fields = dict(part.split("=", 1) for part in line.split(" "))
-            kind = fields.pop("layer")
-            kwargs = {"kind": kind, "name": fields.pop("name", "")}
-            for key, raw in fields.items():
-                target = "in_channels" if key == "in" else "out_channels" if key == "out" else key
-                caster = int if target in ("in_channels", "out_channels", "size") else float
-                kwargs[target] = caster(raw)
-            layers.append(LayerSpec(**kwargs))
+            layers.append(_layer_from_text(line))
         else:
             raise ValueError(f"unrecognized checkpoint spec line: {line!r}")
     if input_shape is None or num_classes is None or not layers:
@@ -110,20 +120,21 @@ def read_checkpoint(path) -> Network:
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a network checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (spec_len,) = struct.unpack("<I", fh.read(4))
-        spec, input_mean = _spec_from_text(fh.read(spec_len).decode("utf-8"))
-        net = Network(spec)
+        (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        spec_bytes = _read_exact(fh, spec_len, path, "spec")
+        try:
+            spec, input_mean = _spec_from_text(spec_bytes.decode("utf-8"))
+            net = Network(spec)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         net.input_mean = input_mean
         for _, _, value, _, _ in net.param_items():
-            raw = fh.read(value.size * 8)
-            if len(raw) != value.size * 8:
-                raise ValueError(f"{path}: truncated parameter data")
+            raw = _read_exact(fh, value.size * 8, path, "parameter data")
             value[...] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after parameters")
+        _expect_end(fh, path, "parameters")
     return net
 
 
@@ -153,11 +164,9 @@ def read_features(path) -> tuple[np.ndarray, list[str]]:
     with open(path, "rb") as fh:
         if fh.read(4) != FEATURE_MAGIC:
             raise ValueError(f"{path}: not a feature file")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        (count,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(count * dim * 4)
-        if len(raw) != count * dim * 4:
-            raise ValueError(f"{path}: truncated feature data")
+        dim, count = struct.unpack("<IQ", _read_exact(fh, 12, path, "header"))
+        raw = _read_exact(fh, count * dim * 4, path, "feature data")
+        _expect_end(fh, path, "feature data")
         feats = np.frombuffer(raw, dtype="<f4").reshape(count, dim).astype(np.float64)
     with open(_ids_path(path), "r", encoding="utf-8") as fh:
         media_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
@@ -180,8 +189,8 @@ def read_metric_model(path) -> JointBayesModel:
     with open(path, "rb") as fh:
         if fh.read(4) != METRIC_MAGIC:
             raise ValueError(f"{path}: not a joint Bayes model file")
-        (d,) = struct.unpack("<I", fh.read(4))
-        m = np.frombuffer(fh.read(d * d * 8), dtype="<f8").reshape(d, d).copy()
-        b_mat = np.frombuffer(fh.read(d * d * 8), dtype="<f8").reshape(d, d).copy()
-        (bias,) = struct.unpack("<d", fh.read(8))
-    return JointBayesModel(m, b_mat, bias)
+        (d,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        values = np.frombuffer(_read_exact(fh, (2 * d * d + 1) * 8, path, "model data"), dtype="<f8")
+        _expect_end(fh, path, "model data")
+    m, b_mat = values[: 2 * d * d].reshape(2, d, d).copy()
+    return JointBayesModel(m, b_mat, float(values[-1]))

@@ -16,11 +16,11 @@ import numpy as np
 from faceverify.metric import JointBayesModel, cosine_matrix, similarity_matrix
 
 __all__ = [
+    "SCORERS",
     "Template",
     "ManifestRow",
     "read_manifest",
     "write_manifest",
-    "filter_manifest",
     "check_split_disjoint",
     "pool_template",
     "build_templates",
@@ -29,6 +29,9 @@ __all__ = [
     "read_score_matrix",
     "write_score_matrix",
 ]
+
+
+SCORERS = ("cosine", "jointbayes")
 
 
 @dataclass
@@ -73,13 +76,6 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
         writer.writerow(MANIFEST_HEADER)
         for r in rows:
             writer.writerow([r.template_id, r.subject_id, r.media_path, r.role, r.split])
-
-
-def filter_manifest(rows: list[ManifestRow], keep) -> list[ManifestRow]:
-    """Optional media filter (e.g. pose-based frame selection for scorers
-    that need it).  keep is a predicate over ManifestRow; no filter is
-    applied anywhere by default."""
-    return [r for r in rows if keep(r)]
 
 
 def check_split_disjoint(rows: list[ManifestRow]) -> None:
@@ -157,20 +153,19 @@ def build_templates(
 
 
 def score_templates(
-    gallery: list[Template],
-    probe: list[Template],
+    gallery: np.ndarray,
+    probe: np.ndarray,
     scorer: str = "cosine",
     model: JointBayesModel | None = None,
 ) -> np.ndarray:
-    """Dense |gallery| x |probe| similarity matrix."""
-    g = np.stack([t.pooled_feature for t in gallery])
-    p = np.stack([t.pooled_feature for t in probe])
+    """Dense |gallery| x |probe| similarity matrix of two stacked
+    (templates x dim) feature matrices."""
     if scorer == "cosine":
-        return cosine_matrix(g, p)
+        return cosine_matrix(gallery, probe)
     if scorer == "jointbayes":
         if model is None:
             raise ValueError("jointbayes scoring needs a trained model")
-        return similarity_matrix(model, g, p)
+        return similarity_matrix(model, gallery, probe)
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
@@ -207,6 +202,11 @@ def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
         for rec in reader:
             if not rec:
                 continue
+            if len(rec) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: {len(rec) - 1} scores for {len(probe_ids)} probes")
+            try:
+                rows.append([float(v) for v in rec[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
             gallery_ids.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
     return np.array(rows, dtype=np.float64), gallery_ids, probe_ids

@@ -320,8 +320,10 @@ def benchmark_results():
             1,
             -1,
         ).ravel()
-        jb = score_templates(gallery, probe, "jointbayes", model).ravel()
-        cos = score_templates(gallery, probe, "cosine").ravel()
+        g = np.stack([t.pooled_feature for t in gallery])
+        p = np.stack([t.pooled_feature for t in probe])
+        jb = score_templates(g, p, "jointbayes", model).ravel()
+        cos = score_templates(g, p, "cosine").ravel()
         results.append(
             {
                 "jb": tar_at_far(roc(jb, pair_labels), 1e-2),

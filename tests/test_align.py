@@ -8,10 +8,8 @@ from faceverify.align import (
     CanonicalFrame,
     LandmarkSet,
     SimilarityTransform,
-    crop_region,
     estimate_similarity,
     read_landmark_file,
-    resize_square,
     warp_image,
     warp_to_canonical,
     write_landmark_file,
@@ -35,7 +33,9 @@ def bilinear_oracle(img, x, y):
 
 class TestCanonicalFrame:
     def test_default_interocular_distance(self):
-        assert CanonicalFrame().interocular_distance() == pytest.approx(36.0)
+        pts = CanonicalFrame().landmarks
+        left, right = pts[0:2].mean(axis=0), pts[2:4].mean(axis=0)  # eye centres
+        assert np.linalg.norm(right - left) == pytest.approx(36.0)
 
     def test_default_size(self):
         frame = CanonicalFrame()
@@ -182,32 +182,13 @@ class TestWarp:
 
 
 class TestCropResize:
-    def test_center_crop_full_image(self):
-        rng = make_rng(4)
-        img = rng.random((125, 125))
-        out = crop_region(img, (62.0, 62.0), side=125)
-        npt.assert_array_equal(out, img)
-
-    def test_corner_crop_pads_three_quadrants(self):
-        img = np.ones((40, 40))
-        out = crop_region(img, (0.0, 0.0), side=40)
-        # pixel (0,0) lands at out[19,19]; above/left of it is padding
-        assert out[:19, :].sum() == 0.0
-        assert out[:, :19].sum() == 0.0
-        assert out[19:, 19:].sum() == pytest.approx(21.0 * 21.0)
-        assert out.sum() == pytest.approx(21.0 * 21.0)
-
     def test_resize_ramp_matches_oracle(self):
         ramp = np.tile(np.linspace(0.0, 1.0, 125), (125, 1))
-        out = resize_square(ramp, 100)
         scale = 100 / 125
+        out = warp_image(ramp, SimilarityTransform(scale, 0.0, 0.0, 0.0), 100, 100)  # pure-scale resize
         for ox in (0, 13, 57, 99):
             sx = ox / scale
             assert out[50, ox] == pytest.approx(bilinear_oracle(ramp, sx, 50 / scale), abs=1e-12)
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            crop_region(np.ones((5, 5)), (2, 2), side=0)
 
 
 def test_landmark_file_roundtrip(tmp_path):

@@ -166,6 +166,26 @@ class TestStageCommands:
         fused, _, _ = read_score_matrix(fused_path)
         npt.assert_allclose(fused, 2 * ours, atol=1e-12)
 
+    def test_evaluate_matches_pipeline_split(self, synth_run, tmp_path):
+        split = synth_run / "split00"
+        out_dir = tmp_path / "eval"
+        rc = main([
+            "evaluate", "--scores", str(split / "scores.csv"),
+            "--manifest", str(split / "manifest.csv"), "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        for name in ("roc.csv", "cmc.csv"):
+            assert (out_dir / name).read_bytes() == (split / name).read_bytes()
+        summary = dict(line.split(",") for line in (out_dir / "summary.csv").read_text().splitlines())
+        report = {}
+        header = None
+        for line in (synth_run / "report.txt").read_text().splitlines():
+            if line.startswith("split,"):
+                header = line.split(",")[1:]
+            elif header and line.startswith("0,"):
+                report.update(zip(header, line.split(",")[1:]))
+        assert summary == report
+
     def test_train_metric_command(self, synth_run, tmp_path):
         run = synth_run
         model_path = tmp_path / "metric.jvjb"

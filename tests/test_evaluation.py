@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,8 +8,8 @@ from faceverify.evaluation import (
     aggregate_splits,
     cmc,
     emit_curves,
+    evaluate_split,
     lfw_protocol,
-    read_curve_file,
     read_pair_file,
     roc,
     tar_at_far,
@@ -84,6 +86,13 @@ class TestRoc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc(np.arange(4.0), np.ones(4))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN threshold would otherwise be swept and read as TAR 1.0
+        with pytest.raises(ValueError, match="finite"):
+            roc([bad, 0.2, 0.1], [1, -1, -1])
 
 
 class TestTarAtFar:
@@ -176,6 +185,13 @@ class TestCmc:
         assert result.rank(2) == 1.0
 
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN matching score would otherwise count as a rank-1 hit
+        with pytest.raises(ValueError, match="finite"):
+            cmc([[bad, 0.9], [0.5, 0.1]], ["a", "b"], ["a", "b"])
+
+
 class TestAggregate:
     def test_hand_example(self):
         mean, std = aggregate_splits([0.7, 0.8])
@@ -255,6 +271,12 @@ class TestLfwProtocol:
             lfw_protocol([(np.array([1.0]), np.array([1]))])
 
 
+def read_table(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=np.float64)
+
+
 class TestEmitCurves:
     def test_roundtrip(self, tmp_path):
         rng = make_rng(11)
@@ -270,16 +292,32 @@ class TestEmitCurves:
         cmc_path = tmp_path / "cmc.csv"
         emit_curves(curve, result, roc_path, cmc_path)
 
-        header, rows = read_curve_file(roc_path)
+        header, rows = read_table(roc_path)
         assert header == ["far", "tar"]
         assert rows.shape[0] == len(curve.far)
         npt.assert_array_equal(rows[:, 0], curve.far)
         npt.assert_array_equal(rows[:, 1], curve.tar)
 
-        header, rows = read_curve_file(cmc_path)
+        header, rows = read_table(cmc_path)
         assert header == ["rank", "accuracy"]
         assert rows.shape[0] == len(result.accuracies)
+        npt.assert_array_equal(rows[:, 0], np.arange(1, len(result.accuracies) + 1))
         npt.assert_array_equal(rows[:, 1], result.accuracies)
+
+
+def test_evaluate_split(tmp_path):
+    scores = np.array([[0.9, 0.2, 0.4], [0.3, 0.8, 0.5]])
+    gallery, probes = ["a", "b"], ["a", "b", "a"]
+    tars, accuracies = evaluate_split(
+        scores, gallery, probes, (0.5, 1.0), (1, 10), tmp_path / "roc.csv", tmp_path / "cmc.csv"
+    )
+    labels = np.array([[1, -1, 1], [-1, 1, -1]])
+    curve = roc(scores.ravel(), labels.ravel())
+    assert tars == {0.5: tar_at_far(curve, 0.5), 1.0: 1.0}
+    # the third probe ("a") ranks second; rank 10 reads the last rank (2)
+    assert accuracies == {1: pytest.approx(2 / 3), 10: 1.0}
+    assert read_table(tmp_path / "roc.csv")[1].shape == (len(curve.far), 2)
+    assert read_table(tmp_path / "cmc.csv")[1].shape == (2, 2)
 
 
 def test_pair_file_roundtrip(tmp_path):

@@ -15,7 +15,6 @@ from faceverify.micronet.layers import (
     MaxPool2x2,
     PReLU,
     SoftmaxXent,
-    prelu,
     softmax,
 )
 
@@ -77,9 +76,11 @@ class TestConv3x3:
 
 class TestPReLU:
     def test_scalar_semantics(self):
-        assert prelu(1.0, 0.25) == 1.0
-        assert prelu(-1.0, 0.25) == -0.25
-        assert prelu(-5.0, 0.0) == 0.0  # zero slope reduces to ReLU
+        layer = PReLU(1)
+        x = np.array([1.0, -1.0, -5.0]).reshape(3, 1)
+        npt.assert_array_equal(layer.forward(x), [[1.0], [-0.25], [-1.25]])
+        layer.slope[:] = 0.0  # zero slope reduces to ReLU
+        npt.assert_array_equal(layer.forward(x), [[1.0], [0.0], [0.0]])
 
     def test_gradients_including_slope(self):
         rng = make_rng(2)

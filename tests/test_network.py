@@ -100,6 +100,18 @@ class TestForward:
         probs = net.forward(x, train=False)[-1]
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_eval_loss_is_cross_entropy_of_forward(self):
+        net = build_face_net(num_classes=7, input_size=16, width_divisor=8)
+        net.initialize(make_rng(0), 0.1)
+        rng = make_rng(1)
+        x, labels = rng.random((3, 16, 16, 1)), np.array([0, 4, 6])
+        loss = net.loss(x, labels, train=False)  # fresh net: no earlier forward
+        probs = net.forward(x)[-1]
+        assert loss == pytest.approx(-np.log(probs[np.arange(3), labels]).mean(), rel=1e-12)
+        # a train-mode pass on another batch does not leak into the next eval loss
+        net.loss(rng.random((5, 16, 16, 1)), np.zeros(5, dtype=int), train=True, rng=make_rng(2))
+        assert net.loss(x, labels, train=False) == loss
+
     def test_shape_mismatch_rejected(self):
         net = build_face_net(num_classes=10, input_size=32, width_divisor=4)
         with pytest.raises(ValueError):

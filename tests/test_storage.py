@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +16,21 @@ from faceverify.storage import (
     write_features,
     write_metric_model,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The stock net, and the width/4 toy net that the training tests use on 32x32 images.
+GOLDEN_NETS = {
+    "stock": {},
+    "toy": dict(num_classes=10, input_size=32, width_divisor=4, dtype=np.float32),
+}
+
+
+def spec_text(path) -> str:
+    """The text spec of a checkpoint, read from its header."""
+    data = Path(path).read_bytes()
+    (spec_len,) = struct.unpack_from("<I", data, 8)
+    return data[12 : 12 + spec_len].decode("utf-8")
 
 
 class TestCheckpoint:
@@ -46,6 +64,38 @@ class TestCheckpoint:
         back = read_checkpoint(path)
         for (_, _, v1, _, _), (_, _, v2, _, _) in zip(net.param_items(), back.param_items()):
             npt.assert_allclose(v1, v2, atol=0)  # exact: f32 embeds in f64
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_NETS))
+    def test_spec_text_matches_golden(self, tmp_path, name):
+        net = build_face_net(**GOLDEN_NETS[name])
+        net.input_mean = 0.4375
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        assert spec_text(path) == (GOLDEN / f"checkpoint_spec_{name}.txt").read_text(encoding="utf-8")
+        assert read_checkpoint(path).spec == net.spec
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("layer=maxpool2x2s2 name=pool1", "layer=maxpool2x2s2 name=pool1 rate=0.5"),  # field of another kind
+            ("name=conv11 in_channels=1 out_channels=8", "name=conv11 in=1 out=8"),  # no key aliases
+            ("name=conv11 in_channels=1", "name=conv11 in_channels=1 in_channels=1"),  # repeated key
+            ("name=fc6 in_channels=80", "name=fc6 widths=80"),  # unknown key
+            ("name=norm1 size=5 alpha=0.0001", "name=norm1 alpha=0.0001"),  # missing field
+            ("layer=dropout", "layer=dropblock"),  # unknown kind
+        ],
+    )
+    def test_bad_spec_line_names_file(self, tmp_path, old, new):
+        net = build_face_net(**GOLDEN_NETS["toy"])
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        data = path.read_bytes()
+        text = spec_text(path)
+        assert old in text
+        bad = text.replace(old, new).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(bad)) + bad + data[12 + len(text.encode("utf-8")) :])
+        with pytest.raises(ValueError, match="model.jvnt"):
+            read_checkpoint(path)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "junk.jvnt"
@@ -93,6 +143,13 @@ class TestFeatures:
         with pytest.raises(ValueError, match="sidecar"):
             read_features(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "f.jvfe"
+        write_features(path, np.zeros((2, 3)), ["a", "b"])
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match="f.jvfe: trailing bytes"):
+            read_features(path)
+
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.jvfe"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -115,6 +172,21 @@ class TestMetricModel:
         path = tmp_path / "bad.jvjb"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="model"):
+            read_metric_model(path)
+
+    @pytest.mark.parametrize("cut", [1, 8, 100])
+    def test_truncation_names_file(self, tmp_path, cut):
+        path = tmp_path / "m.jvjb"
+        write_metric_model(path, init_model(4, make_rng(6)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="m.jvjb: truncated"):
+            read_metric_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.jvjb"
+        write_metric_model(path, init_model(4, make_rng(6)))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="m.jvjb: trailing bytes"):
             read_metric_model(path)
 
     def test_byte_identical_rewrite(self, tmp_path):

@@ -57,39 +57,43 @@ def make_pooled(rng, subject, tid, d=8):
     return Template(tid, subject, ["m"], l2_normalize(rng.standard_normal(d)))
 
 
+def stacked(templates):
+    return np.stack([t.pooled_feature for t in templates])
+
+
 class TestScoreTemplates:
     def test_matrix_shape_matches_protocol_scale(self):
         rng = make_rng(4)
         gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(167)]
         probe = [make_pooled(rng, f"s{i % 167}", f"p{i}") for i in range(1806)]
-        scores = score_templates(gallery, probe, scorer="cosine")
+        scores = score_templates(stacked(gallery), stacked(probe), scorer="cosine")
         assert scores.shape == (167, 1806)
 
     def test_probe_equal_to_gallery_template_maximizes_column(self):
         rng = make_rng(5)
         gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(10)]
         probe = [Template("p0", "s3", ["m"], gallery[3].pooled_feature.copy())]
-        scores = score_templates(gallery, probe, scorer="cosine")
+        scores = score_templates(stacked(gallery), stacked(probe), scorer="cosine")
         assert scores[:, 0].argmax() == 3
 
     def test_cosine_entries_bounded(self):
         rng = make_rng(6)
         gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(5)]
         probe = [make_pooled(rng, f"t{i}", f"p{i}") for i in range(7)]
-        scores = score_templates(gallery, probe, scorer="cosine")
+        scores = score_templates(stacked(gallery), stacked(probe), scorer="cosine")
         assert np.all(scores <= 1.0 + 1e-12) and np.all(scores >= -1.0 - 1e-12)
 
     def test_jointbayes_requires_model(self):
         rng = make_rng(7)
         gallery = [make_pooled(rng, "a", "g0")]
         with pytest.raises(ValueError):
-            score_templates(gallery, gallery, scorer="jointbayes")
+            score_templates(stacked(gallery), stacked(gallery), scorer="jointbayes")
 
     def test_jointbayes_scores(self):
         rng = make_rng(8)
         gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(3)]
         model = init_model(8, make_rng(9))
-        scores = score_templates(gallery, gallery, scorer="jointbayes", model=model)
+        scores = score_templates(stacked(gallery), stacked(gallery), scorer="jointbayes", model=model)
         # diagonal dominated by b - (-2 x'Bx); just check symmetry here
         npt.assert_allclose(scores, scores.T, atol=1e-10)
 
@@ -168,16 +172,6 @@ class TestManifest:
 
 
 class TestManifestInvariants:
-    def test_filter_manifest(self):
-        rows = [
-            ManifestRow("t1", "s1", "a.pgm", "gallery", "0"),
-            ManifestRow("t2", "s2", "b.pgm", "probe", "0"),
-        ]
-        from faceverify.templates import filter_manifest
-
-        kept = filter_manifest(rows, lambda r: r.role == "probe")
-        assert kept == [rows[1]]
-
     def test_disjoint_check_accepts_valid_split(self):
         from faceverify.templates import check_split_disjoint
 
@@ -222,3 +216,10 @@ class TestScoreMatrixIO:
         npt.assert_array_equal(back, scores)  # %.17g round-trips float64
         assert gids == ["g0", "g1", "g2"]
         assert pids == ["p0", "p1", "p2", "p3"]
+
+    @pytest.mark.parametrize("bad_row", ["g1,0.5", "g1,0.5,0.25,0.1", "g1,0.5,high"])
+    def test_bad_row_names_file_and_line(self, tmp_path, bad_row):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"gallery_id,p0,p1\ng0,0.5,0.25\n{bad_row}\n")
+        with pytest.raises(ValueError, match=r"scores.csv:3: "):
+            read_score_matrix(path)
