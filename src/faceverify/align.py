@@ -194,7 +194,10 @@ def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
             parts = line.split(",")
             if len(parts) != 1 + 2 * NUM_LANDMARKS:
                 raise ValueError(f"{path}:{line_no}: expected media path plus {2 * NUM_LANDMARKS} numbers")
-            coords = np.array([float(v) for v in parts[1:]], dtype=np.float64).reshape(NUM_LANDMARKS, 2)
+            try:
+                coords = np.array([float(v) for v in parts[1:]], dtype=np.float64).reshape(NUM_LANDMARKS, 2)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             records.append((parts[0], LandmarkSet(coords)))
     return records
 

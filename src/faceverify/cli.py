@@ -63,10 +63,12 @@ def cmd_align(args) -> int:
 def _read_label_manifest(path) -> list[tuple[str, str]]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            if "," not in line:
+                raise ValueError(f"{path}:{line_no}: expected media_path,label")
             media, label = line.split(",", 1)
             rows.append((media, label))
     return rows
@@ -132,15 +134,9 @@ def cmd_extract(args) -> int:
 def cmd_pool(args) -> int:
     feats, media_ids = storage.read_features(args.features)
     rows = templates.read_manifest(args.manifest)
-    pooled = templates.build_templates(
-        rows, feats, media_ids, role=args.role, split=args.split
-    )
-    storage.write_features(
-        args.out,
-        np.stack([t.pooled_feature for t in pooled]),
-        [t.template_id for t in pooled],
-    )
-    print(f"pool: {len(pooled)} templates -> {args.out}")
+    ids, _, pooled = templates.build_templates(rows, feats, media_ids, role=args.role, split=args.split)
+    storage.write_features(args.out, pooled, ids)
+    print(f"pool: {len(ids)} templates -> {args.out}")
     return 0
 
 
@@ -184,6 +180,9 @@ def cmd_evaluate(args) -> int:
     subject_of_template = {}
     for r in templates.read_manifest(args.manifest):
         subject_of_template.setdefault(r.template_id, r.subject_id)
+    missing = [t for t in gallery_ids + probe_ids if t not in subject_of_template]
+    if missing:
+        raise ValueError(f"{args.manifest}: lacks template {missing[0]!r} named in {args.scores}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tars, accuracies = ev.evaluate_split(

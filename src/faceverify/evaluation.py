@@ -231,6 +231,8 @@ def read_pair_file(path) -> list[tuple[str, str, int]]:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected id_a,id_b,label")
+            if parts[2] not in ("1", "-1"):
+                raise ValueError(f"{path}:{line_no}: label must be 1 or -1, got {parts[2]!r}")
             pairs.append((parts[0], parts[1], int(parts[2])))
     return pairs
 

@@ -18,6 +18,7 @@ __all__ = [
     "outer",
     "gaussian_matrix",
     "l2_normalize",
+    "check_finite_rows",
 ]
 
 
@@ -87,3 +88,11 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize rows with zero norm")
     return x / norms
+
+
+def check_finite_rows(x: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row of the 2-D x that holds a
+    NaN or inf: a non-finite value is rejected where it enters."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{what} row {bad[0]} holds NaN or inf")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from faceverify.linalg import gaussian_matrix, l2_normalize, make_rng
+from faceverify.linalg import check_finite_rows, gaussian_matrix, l2_normalize, make_rng
 
 __all__ = [
     "JointBayesModel",
@@ -35,13 +35,11 @@ __all__ = [
     "PairBatch",
     "PairSampler",
     "SyntheticEmbeddingModel",
-    "cosine_score",
     "cosine_matrix",
     "distance",
     "similarity",
     "similarity_matrix",
     "hinge_step",
-    "hinge_objective",
     "init_model",
     "train_metric",
     "generate_synthetic",
@@ -96,12 +94,16 @@ def _check_vector(model: JointBayesModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """(x_i-x_j)^T M (x_i-x_j) - 2 x_i^T B x_j."""
-    x_i = _check_vector(model, x_i)
-    x_j = _check_vector(model, x_j)
+def _distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
+    """The single-pair form on float64 vectors of length model.dim;
+    checks nothing."""
     diff = x_i - x_j
     return float(diff @ model.M @ diff - 2.0 * (x_i @ model.B @ x_j))
+
+
+def distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
+    """(x_i-x_j)^T M (x_i-x_j) - 2 x_i^T B x_j."""
+    return _distance(model, _check_vector(model, x_i), _check_vector(model, x_j))
 
 
 def similarity(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
@@ -122,17 +124,9 @@ def similarity_matrix(model: JointBayesModel, left: np.ndarray, right: np.ndarra
     return model.b - dist
 
 
-def cosine_score(x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Cosine similarity, the metric-free baseline."""
-    x_i = np.asarray(x_i, dtype=np.float64).ravel()
-    x_j = np.asarray(x_j, dtype=np.float64).ravel()
-    ni, nj = np.linalg.norm(x_i), np.linalg.norm(x_j)
-    if ni == 0.0 or nj == 0.0:
-        raise ValueError("cosine score undefined for zero vectors")
-    return float(x_i @ x_j / (ni * nj))
-
-
 def cosine_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every (row of left) x (row of right) pair,
+    the metric-free baseline."""
     return l2_normalize(np.asarray(left, dtype=np.float64)) @ l2_normalize(np.asarray(right, dtype=np.float64)).T
 
 
@@ -153,10 +147,13 @@ def hinge_step(
     cfg: MetricTrainConfig,
 ) -> bool:
     """One stochastic update; mutates model only if the pair violates
-    the unit margin.  Returns whether it did."""
-    x_i = _check_vector(model, x_i)
-    x_j = _check_vector(model, x_j)
-    if y * (model.b - distance(model, x_i, x_j)) > 1.0:
+    the unit margin.  Returns whether it did.
+
+    x_i and x_j must be float64 vectors of length model.dim: this runs
+    once per pair step and checks nothing (train_metric checks its
+    feature matrix once per call).
+    """
+    if y * (model.b - _distance(model, x_i, x_j)) > 1.0:
         return False
     diff = x_i - x_j
     model.M -= cfg.gamma * y * np.outer(diff, diff)
@@ -167,19 +164,6 @@ def hinge_step(
         model.B += 2.0 * cfg.gamma * y * np.outer(x_i, x_j)
     model.b += cfg.gamma_b * y
     return True
-
-
-def hinge_objective(model: JointBayesModel, features: np.ndarray, batch: PairBatch) -> float:
-    """Sum of max(1 - y*(b - d), 0) over a fixed pair set."""
-    scores = _pair_similarities(model, features, batch.i, batch.j)
-    return float(np.maximum(1.0 - batch.y * scores, 0.0).sum())
-
-
-def _pair_similarities(model: JointBayesModel, feats: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    xi, xj = feats[i], feats[j]
-    diff = xi - xj
-    dist = np.einsum("nd,de,ne->n", diff, model.M, diff) - 2.0 * np.einsum("nd,de,ne->n", xi, model.B, xj)
-    return model.b - dist
 
 
 class PairSampler:
@@ -244,8 +228,16 @@ def train_metric(
     cfg: MetricTrainConfig,
 ) -> tuple[JointBayesModel, list[float]]:
     """Fit (M, B, b) on labeled features; returns the model and the
-    per-epoch fraction of pairs that violated the margin."""
+    per-epoch fraction of pairs that violated the margin.
+
+    The one check of the metric stage's input: features must be a 2-D
+    finite matrix with one label per row.  The pair steps check nothing.
+    """
     features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise ValueError(f"need a 2-D feature matrix and one label per row, got {features.shape} and {labels.shape}")
+    check_finite_rows(features, "features")
     norms = np.linalg.norm(features, axis=1)
     if not np.allclose(norms, 1.0, atol=1e-6):
         warnings.warn("features are not unit-norm; metric training expects L2-normalized inputs")
@@ -253,12 +245,13 @@ def train_metric(
     model = init_model(features.shape[1], rng)
     sampler = PairSampler(labels, rng, cfg)
 
+    rows = list(features)
     violation_fractions: list[float] = []
     for _ in range(cfg.epochs):
         batch = sampler.epoch()
         violations = 0
-        for i, j, y in zip(batch.i, batch.j, batch.y):
-            violations += hinge_step(model, features[i], features[j], int(y), cfg)
+        for i, j, y in zip(batch.i.tolist(), batch.j.tolist(), batch.y.tolist()):
+            violations += hinge_step(model, rows[i], rows[j], y, cfg)
         violation_fractions.append(violations / len(batch.y))
     return model, violation_fractions
 

@@ -251,8 +251,4 @@ def extract_features(net: Network, images: np.ndarray, batch_size: int = 32) -> 
     feats = []
     for start in range(0, images.shape[0], batch_size):
         feats.append(net.features(images[start : start + batch_size]))
-    out = np.concatenate(feats, axis=0)
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate all-zero feature encountered during extraction")
-    return l2_normalize(out)
+    return l2_normalize(np.concatenate(feats, axis=0))

@@ -237,21 +237,16 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
             write_metric_model(split_dir / "metric.jvjb", model)
             log.info("split %d: metric violations %.3f -> %.3f", s, violations[0], violations[-1])
 
-        gallery = build_templates(rows, feats, media_ids, role="gallery")
-        probe = build_templates(rows, feats, media_ids, role="probe")
-        pooled = {}
-        for name, templates in (("gallery", gallery), ("probe", probe)):
-            pooled[name] = np.stack([t.pooled_feature for t in templates])
-            write_features(split_dir / f"{name}.jvfe", pooled[name], [t.template_id for t in templates])
+        g_ids, g_subjects, gallery = build_templates(rows, feats, media_ids, role="gallery")
+        p_ids, p_subjects, probe = build_templates(rows, feats, media_ids, role="probe")
+        write_features(split_dir / "gallery.jvfe", gallery, g_ids)
+        write_features(split_dir / "probe.jvfe", probe, p_ids)
 
-        scores = score_templates(pooled["gallery"], pooled["probe"], scorer=cfg.scorer, model=model)
-        write_score_matrix(
-            split_dir / "scores.csv", scores, [t.template_id for t in gallery], [t.template_id for t in probe]
-        )
+        scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
+        write_score_matrix(split_dir / "scores.csv", scores, g_ids, p_ids)
 
         tars, accuracies = evaluate_split(
-            scores, [t.subject_id for t in gallery], [t.subject_id for t in probe],
-            cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv",
+            scores, g_subjects, p_subjects, cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv"
         )
         for f in cfg.fars:
             report.tar_by_far[f].append(tars[f])

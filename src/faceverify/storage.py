@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel
 from faceverify.micronet.network import LAYER_KINDS, LayerSpec, Network, NetworkSpec
 
@@ -168,6 +169,7 @@ def read_features(path) -> tuple[np.ndarray, list[str]]:
         raw = _read_exact(fh, count * dim * 4, path, "feature data")
         _expect_end(fh, path, "feature data")
         feats = np.frombuffer(raw, dtype="<f4").reshape(count, dim).astype(np.float64)
+    check_finite_rows(feats, f"{path}:")
     with open(_ids_path(path), "r", encoding="utf-8") as fh:
         media_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
     if len(media_ids) != count:

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel, cosine_matrix, similarity_matrix
 
 __all__ = [
     "SCORERS",
-    "Template",
     "ManifestRow",
     "read_manifest",
     "write_manifest",
@@ -32,14 +32,6 @@ __all__ = [
 
 
 SCORERS = ("cosine", "jointbayes")
-
-
-@dataclass
-class Template:
-    template_id: str
-    subject_id: str
-    media: list[str]
-    pooled_feature: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -123,14 +115,15 @@ def build_templates(
     media_ids: list[str],
     role: str | None = None,
     split: str | None = None,
-) -> list[Template]:
-    """Group manifest rows into pooled templates, in manifest order.
+) -> tuple[list[str], list[str], np.ndarray]:
+    """Group manifest rows into templates and pool each one, in manifest
+    order; returns (template ids, subject ids, templates x dim matrix).
 
     features rows are matched to manifest media via media_ids.
     """
     index = {m: i for i, m in enumerate(media_ids)}
-    grouped: dict[str, Template] = {}
-    order: list[str] = []
+    subject_of: dict[str, str] = {}
+    media_rows: dict[str, list[int]] = {}
     for r in rows:
         if role is not None and r.role != role:
             continue
@@ -138,18 +131,13 @@ def build_templates(
             continue
         if r.media_path not in index:
             raise KeyError(f"no feature row for media {r.media_path!r}")
-        t = grouped.get(r.template_id)
-        if t is None:
-            t = Template(r.template_id, r.subject_id, [])
-            grouped[r.template_id] = t
-            order.append(r.template_id)
-        elif t.subject_id != r.subject_id:
-            raise ValueError(f"template {r.template_id} spans subjects {t.subject_id} and {r.subject_id}")
-        t.media.append(r.media_path)
-    templates = [grouped[tid] for tid in order]
-    for t in templates:
-        t.pooled_feature = pool_template(features[[index[m] for m in t.media]])
-    return templates
+        subject = subject_of.setdefault(r.template_id, r.subject_id)
+        if subject != r.subject_id:
+            raise ValueError(f"template {r.template_id} spans subjects {subject} and {r.subject_id}")
+        media_rows.setdefault(r.template_id, []).append(index[r.media_path])
+    ids = list(media_rows)
+    pooled = np.stack([pool_template(features[media_rows[t]]) for t in ids])
+    return ids, [subject_of[t] for t in ids], pooled
 
 
 def score_templates(
@@ -159,7 +147,9 @@ def score_templates(
     model: JointBayesModel | None = None,
 ) -> np.ndarray:
     """Dense |gallery| x |probe| similarity matrix of two stacked
-    (templates x dim) feature matrices."""
+    (templates x dim) feature matrices; a NaN or inf entry is rejected."""
+    check_finite_rows(gallery, "gallery")
+    check_finite_rows(probe, "probe")
     if scorer == "cosine":
         return cosine_matrix(gallery, probe)
     if scorer == "jointbayes":

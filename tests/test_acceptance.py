@@ -312,16 +312,11 @@ def benchmark_results():
             np.array([r.subject_id for r in train_rows]),
             cfg,
         )
-        gallery = build_templates(rows, feats, media_ids, role="gallery")
-        probe = build_templates(rows, feats, media_ids, role="probe")
+        _, g_subjects, g = build_templates(rows, feats, media_ids, role="gallery")
+        _, p_subjects, p = build_templates(rows, feats, media_ids, role="probe")
         pair_labels = np.where(
-            np.array([t.subject_id for t in gallery])[:, None]
-            == np.array([t.subject_id for t in probe])[None, :],
-            1,
-            -1,
+            np.array(g_subjects)[:, None] == np.array(p_subjects)[None, :], 1, -1
         ).ravel()
-        g = np.stack([t.pooled_feature for t in gallery])
-        p = np.stack([t.pooled_feature for t in probe])
         jb = score_templates(g, p, "jointbayes", model).ravel()
         cos = score_templates(g, p, "cosine").ravel()
         results.append(

@@ -205,6 +205,13 @@ def test_landmark_file_roundtrip(tmp_path):
         npt.assert_allclose(a.points, b.points, atol=1e-6)
 
 
+def test_landmark_file_non_numeric_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# header\nimg.pgm," + ",".join(["1"] * 13) + ",x\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: could not convert"):
+        read_landmark_file(path)
+
+
 def test_landmark_file_rejects_short_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("img.pgm,1,2,3\n")

@@ -186,6 +186,19 @@ class TestStageCommands:
                 report.update(zip(header, line.split(",")[1:]))
         assert summary == report
 
+    def test_evaluate_names_manifest_and_missing_id(self, synth_run, tmp_path, capsys):
+        split = synth_run / "split00"
+        manifest = tmp_path / "manifest.csv"
+        lines = (split / "manifest.csv").read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if ",gallery," not in line))
+        rc = main([
+            "evaluate", "--scores", str(split / "scores.csv"),
+            "--manifest", str(manifest), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"evaluate: error: {manifest}: lacks template 'g_s")
+
     def test_train_metric_command(self, synth_run, tmp_path):
         run = synth_run
         model_path = tmp_path / "metric.jvjb"
@@ -247,6 +260,17 @@ class TestTrainExtractCommands:
         feats, ids = read_features(feats_path)
         assert feats.shape[0] == 24
         npt.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-5)
+
+
+def test_label_manifest_without_comma_names_line(tmp_path, capsys):
+    manifest = tmp_path / "train.csv"
+    manifest.write_text("img00.pgm,class0\nimg01.pgm class1\n")
+    rc = main([
+        "train-cnn", "--manifest", str(manifest), "--images-root", str(tmp_path),
+        "--out", str(tmp_path / "net.jvnt"),
+    ])
+    assert rc == 1
+    assert f"{manifest}:2: expected media_path,label" in capsys.readouterr().err
 
 
 class TestReportCommand:

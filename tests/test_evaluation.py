@@ -320,6 +320,14 @@ def test_evaluate_split(tmp_path):
     assert read_table(tmp_path / "cmc.csv")[1].shape == (2, 2)
 
 
+@pytest.mark.parametrize("label", ["0", "2", "x", ""])
+def test_pair_file_rejects_bad_label(tmp_path, label):
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"a,b,1\nc,d,{label}\n")
+    with pytest.raises(ValueError, match=r"pairs\.csv:2: label must be 1 or -1"):
+        read_pair_file(path)
+
+
 def test_pair_file_roundtrip(tmp_path):
     pairs = [("a", "b", 1), ("c", "d", -1)]
     path = tmp_path / "pairs.csv"

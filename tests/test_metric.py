@@ -1,3 +1,7 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,16 +13,42 @@ from faceverify.metric import (
     MetricTrainConfig,
     PairSampler,
     SyntheticEmbeddingModel,
-    cosine_score,
+    cosine_matrix,
     distance,
     generate_synthetic,
-    hinge_objective,
     hinge_step,
     init_model,
     similarity,
     similarity_matrix,
     train_metric,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Generator settings and epoch counts of the two train_metric runs pinned
+# in golden/train_metric.json: at d=32 about a fifth of the pair steps
+# violate the margin in every epoch; at d=320 (the paper's feature size)
+# a third violate in the first epoch and 1-2% in each later one.
+TRAIN_GOLDEN_SETS = {
+    "d32": (dict(dim=32, num_subjects=300, samples_per_subject=3, within_cov=2.0, seed=11), 8),
+    "d320": (dict(dim=320, num_subjects=30, samples_per_subject=5, within_cov=4.0, seed=11), 5),
+}
+
+
+def train_golden_record(name):
+    """Per-epoch violation fractions, b, and M and B applied to two
+    fixed probe vectors, for one run of TRAIN_GOLDEN_SETS."""
+    gen_kwargs, epochs = TRAIN_GOLDEN_SETS[name]
+    feats, labels = generate_synthetic(SyntheticEmbeddingModel(**gen_kwargs))
+    cfg = MetricTrainConfig(gamma=20.0, gamma_b=2.0, epochs=epochs, seed=12)
+    model, fractions = train_metric(feats, labels, cfg)
+    probes = make_rng(13).standard_normal((model.dim, 2))
+    return {
+        "violation_fractions": fractions,
+        "b": model.b,
+        "M_probes": (model.M @ probes).tolist(),
+        "B_probes": (model.B @ probes).tolist(),
+    }
 
 
 def random_model(d, seed=0, scale=1.0):
@@ -89,14 +119,12 @@ class TestSimilarity:
 
 class TestCosine:
     def test_basis_cases(self):
-        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert cosine_score(e1, e1) == pytest.approx(1.0)
-        assert cosine_score(e1, e2) == pytest.approx(0.0)
-        assert cosine_score(np.array([1.0, 1.0]), e1) == pytest.approx(1 / np.sqrt(2))
+        left = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        npt.assert_allclose(cosine_matrix(left, np.array([[1.0, 0.0]]))[:, 0], [1.0, 0.0, 1 / np.sqrt(2)])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            cosine_score(np.zeros(2), np.ones(2))
+            cosine_matrix(np.zeros((1, 2)), np.ones((1, 2)))
 
 
 class TestInitModel:
@@ -286,13 +314,17 @@ class TestTrainMetric:
         feats, labels = self._separable_set()
         fixed_pairs = PairSampler(labels, make_rng(63), MetricTrainConfig()).epoch()
 
+        def hinge_objective(model):
+            return sum(
+                max(1.0 - y * similarity(model, feats[i], feats[j]), 0.0)
+                for i, j, y in zip(fixed_pairs.i, fixed_pairs.j, fixed_pairs.y)
+            )
+
         cfg1 = MetricTrainConfig(gamma=0.5, gamma_b=0.05, epochs=1, seed=64)
         model1, _ = train_metric(feats, labels, cfg1)
         cfg20 = MetricTrainConfig(gamma=0.5, gamma_b=0.05, epochs=20, seed=64)
         model20, _ = train_metric(feats, labels, cfg20)
-        assert hinge_objective(model20, feats, fixed_pairs) < hinge_objective(
-            model1, feats, fixed_pairs
-        )
+        assert hinge_objective(model20) < hinge_objective(model1)
 
     def test_zero_rates_return_initialization(self):
         feats, labels = self._separable_set()
@@ -308,6 +340,24 @@ class TestTrainMetric:
         with pytest.warns(UserWarning, match="unit-norm"):
             train_metric(feats * 3.0, labels, MetricTrainConfig(epochs=1, seed=65))
 
+    def test_nan_feature_rejected_before_any_step(self, monkeypatch):
+        feats, labels = self._separable_set()
+        feats[7, 3] = np.nan
+
+        def no_step(*args):
+            raise AssertionError("hinge_step ran on a NaN feature set")
+
+        monkeypatch.setattr("faceverify.metric.hinge_step", no_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the unit-norm warning must not come first
+            with pytest.raises(ValueError, match="features row 7 holds NaN or inf"):
+                train_metric(feats, labels, MetricTrainConfig(epochs=1, seed=65))
+
+    @pytest.mark.parametrize("shape, n_labels", [((100,), 100), ((100, 8), 99)])
+    def test_shape_checked(self, shape, n_labels):
+        with pytest.raises(ValueError, match="one label per row"):
+            train_metric(np.ones(shape), np.zeros(n_labels), MetricTrainConfig(epochs=1))
+
     def test_deterministic(self):
         feats, labels = self._separable_set()
         cfg = MetricTrainConfig(gamma=0.2, gamma_b=0.02, epochs=3, seed=66)
@@ -315,6 +365,23 @@ class TestTrainMetric:
         m2, v2 = train_metric(feats, labels, cfg)
         npt.assert_array_equal(m1.M, m2.M)
         assert v1 == v2
+
+
+class TestTrainMetricGolden:
+    """train_metric's outputs as recorded in golden/train_metric.json:
+    every violation fraction exactly, b and the M and B probe products to
+    1e-12 relative.  One flipped margin decision changes a fraction and
+    moves M, B and b by a rank-one step."""
+
+    @pytest.mark.parametrize("name", sorted(TRAIN_GOLDEN_SETS))
+    def test_matches_golden(self, name):
+        want = json.loads((GOLDEN / "train_metric.json").read_text(encoding="utf-8"))[name]
+        got = train_golden_record(name)
+        assert got["violation_fractions"] == want["violation_fractions"]
+        assert abs(got["b"] - want["b"]) <= 1e-12 * abs(want["b"])
+        for key in ("M_probes", "B_probes"):
+            want_arr = np.array(want[key])
+            assert np.max(np.abs(np.array(got[key]) - want_arr)) <= 1e-12 * np.max(np.abs(want_arr)), key
 
 
 class TestVerificationRegression:

@@ -150,6 +150,15 @@ class TestFeatures:
         with pytest.raises(ValueError, match="f.jvfe: trailing bytes"):
             read_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "f.jvfe"
+        feats = np.ones((3, 2))
+        feats[1, 0] = value
+        write_features(path, feats, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="f.jvfe: row 1 holds NaN or inf"):
+            read_features(path)
+
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.jvfe"
         path.write_bytes(b"XXXX" + b"\x00" * 16)

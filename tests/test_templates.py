@@ -7,7 +7,6 @@ from faceverify.linalg import l2_normalize, make_rng
 from faceverify.metric import init_model
 from faceverify.templates import (
     ManifestRow,
-    Template,
     build_templates,
     fuse_scores,
     pool_template,
@@ -53,47 +52,44 @@ class TestPoolTemplate:
             pool_template([x, -x])
 
 
-def make_pooled(rng, subject, tid, d=8):
-    return Template(tid, subject, ["m"], l2_normalize(rng.standard_normal(d)))
-
-
-def stacked(templates):
-    return np.stack([t.pooled_feature for t in templates])
+def make_pooled(rng, count, d=8):
+    """count unit-norm template descriptors, stacked."""
+    return l2_normalize(rng.standard_normal((count, d)))
 
 
 class TestScoreTemplates:
     def test_matrix_shape_matches_protocol_scale(self):
         rng = make_rng(4)
-        gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(167)]
-        probe = [make_pooled(rng, f"s{i % 167}", f"p{i}") for i in range(1806)]
-        scores = score_templates(stacked(gallery), stacked(probe), scorer="cosine")
+        scores = score_templates(make_pooled(rng, 167), make_pooled(rng, 1806), scorer="cosine")
         assert scores.shape == (167, 1806)
 
     def test_probe_equal_to_gallery_template_maximizes_column(self):
-        rng = make_rng(5)
-        gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(10)]
-        probe = [Template("p0", "s3", ["m"], gallery[3].pooled_feature.copy())]
-        scores = score_templates(stacked(gallery), stacked(probe), scorer="cosine")
+        gallery = make_pooled(make_rng(5), 10)
+        scores = score_templates(gallery, gallery[3:4].copy(), scorer="cosine")
         assert scores[:, 0].argmax() == 3
 
     def test_cosine_entries_bounded(self):
         rng = make_rng(6)
-        gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(5)]
-        probe = [make_pooled(rng, f"t{i}", f"p{i}") for i in range(7)]
-        scores = score_templates(stacked(gallery), stacked(probe), scorer="cosine")
+        scores = score_templates(make_pooled(rng, 5), make_pooled(rng, 7), scorer="cosine")
         assert np.all(scores <= 1.0 + 1e-12) and np.all(scores >= -1.0 - 1e-12)
 
     def test_jointbayes_requires_model(self):
-        rng = make_rng(7)
-        gallery = [make_pooled(rng, "a", "g0")]
+        gallery = make_pooled(make_rng(7), 1)
         with pytest.raises(ValueError):
-            score_templates(stacked(gallery), stacked(gallery), scorer="jointbayes")
+            score_templates(gallery, gallery, scorer="jointbayes")
+
+    @pytest.mark.parametrize("role", ["gallery", "probe"])
+    @pytest.mark.parametrize("scorer", ["cosine", "jointbayes"])
+    def test_non_finite_row_rejected(self, role, scorer):
+        feats = {"gallery": make_pooled(make_rng(15), 3), "probe": make_pooled(make_rng(16), 4)}
+        feats[role][2, 5] = np.nan
+        with pytest.raises(ValueError, match=f"{role} row 2 holds NaN or inf"):
+            score_templates(feats["gallery"], feats["probe"], scorer=scorer, model=init_model(8, make_rng(9)))
 
     def test_jointbayes_scores(self):
-        rng = make_rng(8)
-        gallery = [make_pooled(rng, f"s{i}", f"g{i}") for i in range(3)]
+        gallery = make_pooled(make_rng(8), 3)
         model = init_model(8, make_rng(9))
-        scores = score_templates(stacked(gallery), stacked(gallery), scorer="jointbayes", model=model)
+        scores = score_templates(gallery, gallery, scorer="jointbayes", model=model)
         # diagonal dominated by b - (-2 x'Bx); just check symmetry here
         npt.assert_allclose(scores, scores.T, atol=1e-10)
 
@@ -149,11 +145,12 @@ class TestManifest:
             ManifestRow("t2", "s2", "m1", "gallery", "0"),
             ManifestRow("t3", "s1", "m3", "probe", "0"),
         ]
-        gallery = build_templates(rows, feats, media, role="gallery")
-        assert [t.template_id for t in gallery] == ["t1", "t2"]
-        npt.assert_allclose(gallery[0].pooled_feature, pool_template(feats[[0, 2]]))
-        probe = build_templates(rows, feats, media, role="probe")
-        assert probe[0].media == ["m3"]
+        ids, subjects, gallery = build_templates(rows, feats, media, role="gallery")
+        assert ids == ["t1", "t2"] and subjects == ["s1", "s2"]
+        npt.assert_allclose(gallery, np.stack([pool_template(feats[[0, 2]]), pool_template(feats[[1]])]))
+        ids, subjects, probe = build_templates(rows, feats, media, role="probe")
+        assert ids == ["t3"] and subjects == ["s1"]
+        npt.assert_array_equal(probe, [pool_template(feats[[3]])])
 
     def test_build_templates_rejects_subject_conflict(self):
         rng = make_rng(14)
