@@ -201,9 +201,3 @@ def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
             records.append((parts[0], LandmarkSet(coords)))
     return records
 
-
-def write_landmark_file(path, records: list[tuple[str, LandmarkSet]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for media, lm in records:
-            coords = ",".join(f"{v:.6f}" for v in lm.points.ravel())
-            fh.write(f"{media},{coords}\n")

@@ -121,10 +121,11 @@ def cmd_extract(args) -> int:
     else:
         media = [p.name for p in _image_list(root)]
     images = _load_images(root, media)
-    target = net.spec.input_shape[0]
-    if images.shape[1] > target:  # center-crop larger inputs
-        off = (images.shape[1] - target) // 2
-        images = images[:, off : off + target, off : off + target, :]
+    (h, w), (th, tw) = images.shape[1:3], net.spec.input_shape[:2]
+    if h < th or w < tw:
+        raise ValueError(f"{root / media[0]}: {h}x{w} image is smaller than the {th}x{tw} net input")
+    oy, ox = (h - th) // 2, (w - tw) // 2  # center-crop larger inputs
+    images = images[:, oy : oy + th, ox : ox + tw, :]
     feats = extract_features(net, images, batch_size=args.batch_size)
     storage.write_features(args.out, feats, media)
     print(f"extract: {feats.shape[0]} features of dim {feats.shape[1]} -> {args.out}")
@@ -134,7 +135,10 @@ def cmd_extract(args) -> int:
 def cmd_pool(args) -> int:
     feats, media_ids = storage.read_features(args.features)
     rows = templates.read_manifest(args.manifest)
-    ids, _, pooled = templates.build_templates(rows, feats, media_ids, role=args.role, split=args.split)
+    try:
+        ids, _, pooled = templates.build_templates(rows, feats, media_ids, role=args.role, split=args.split)
+    except ValueError as exc:
+        raise ValueError(f"{args.manifest}: {exc}") from exc
     storage.write_features(args.out, pooled, ids)
     print(f"pool: {len(ids)} templates -> {args.out}")
     return 0
@@ -144,6 +148,9 @@ def cmd_train_metric(args) -> int:
     feats, media_ids = storage.read_features(args.features)
     rows = templates.read_manifest(args.manifest)
     subject_of = {r.media_path: r.subject_id for r in rows}
+    missing = [m for m in media_ids if m not in subject_of]
+    if missing:
+        raise ValueError(f"{args.manifest}: lacks media {missing[0]!r} named in {args.features}")
     labels = np.array([subject_of[m] for m in media_ids])
     cfg = MetricTrainConfig(
         gamma=args.gamma,
@@ -261,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--width-divisor", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--iters", type=int, default=TrainConfig.max_iters)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--hflip", action="store_true")
     p.add_argument("--random-crop", action="store_true")
-    p.add_argument("--crop-size", type=int, default=100)
+    p.add_argument("--crop-size", type=int, default=TrainConfig.crop_size)
     p.add_argument("--float32", action="store_true")
     p.set_defaults(fn=cmd_train_cnn)
 
@@ -291,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float, default=1e-3)
-    p.add_argument("--gamma-b", type=float, default=1e-4)
-    p.add_argument("--ratio", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gamma", type=float, default=MetricTrainConfig.gamma)
+    p.add_argument("--gamma-b", type=float, default=MetricTrainConfig.gamma_b)
+    p.add_argument("--ratio", type=int, default=MetricTrainConfig.neg_to_pos_ratio)
+    p.add_argument("--epochs", type=int, default=MetricTrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=MetricTrainConfig.seed)
     p.add_argument("--literal-b-update", action="store_true")
     p.set_defaults(fn=cmd_train_metric)
 
@@ -323,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic feature set")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--subjects", type=int, default=30)
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--s-mu", type=float, default=1.0)
-    p.add_argument("--s-eps", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subjects", type=int, default=pl.PipelineConfig.synth_subjects)
+    p.add_argument("--samples", type=int, default=pl.PipelineConfig.synth_samples)
+    p.add_argument("--dim", type=int, default=pl.PipelineConfig.synth_dim)
+    p.add_argument("--s-mu", type=float, default=pl.PipelineConfig.synth_s_mu)
+    p.add_argument("--s-eps", type=float, default=pl.PipelineConfig.synth_s_eps)
+    p.add_argument("--seed", type=int, default=pl.PipelineConfig.seed)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("report", help="run the full pipeline from a config")

@@ -100,13 +100,12 @@ def tar_at_far(curve: RocCurve, far: float) -> float:
     return float(curve.tar[eligible].max())
 
 
-def cmc(sim_matrix, gallery_subjects, probe_subjects, on_missing: str = "error") -> CmcResult:
+def cmc(sim_matrix, gallery_subjects, probe_subjects) -> CmcResult:
     """Closed-set identification accuracy per rank.
 
     rank(probe) = 1 + number of non-matching gallery templates whose
     score is >= the best matching-subject score (ties pessimistic).
-    Probes whose subject is absent from the gallery are skipped or
-    rejected per on_missing ('skip' | 'error').
+    A probe whose subject is absent from the gallery is rejected.
     """
     sim = np.asarray(sim_matrix, dtype=np.float64)
     gallery_subjects = np.asarray(gallery_subjects)
@@ -121,14 +120,12 @@ def cmc(sim_matrix, gallery_subjects, probe_subjects, on_missing: str = "error")
     for p, subject in enumerate(probe_subjects):
         match_mask = gallery_subjects == subject
         if not match_mask.any():
-            if on_missing == "skip":
-                continue
             raise ValueError(f"probe subject {subject!r} absent from gallery (open set)")
         col = sim[:, p]
         best = col[match_mask].max()
         ranks.append(1 + int((col[~match_mask] >= best).sum()))
     if not ranks:
-        raise ValueError("no probes left to rank")
+        raise ValueError("no probes to rank")
     ranks = np.asarray(ranks)
     ks = np.arange(1, n_gallery + 1)
     return CmcResult((ranks[None, :] <= ks[:, None]).mean(axis=1))

@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "make_rng",
     "derive_seed",
-    "matmul",
-    "outer",
     "gaussian_matrix",
     "l2_normalize",
     "check_finite_rows",
@@ -43,26 +41,6 @@ def derive_seed(root_seed: int, stream: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(stream,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Outer product u v^T of two equal-length vectors."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return np.outer(u, v)
 
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -55,9 +55,6 @@ class Layer:
         """(name, value array, grad array, decay group) per parameter."""
         return []
 
-    def weight_count(self, include_biases: bool = False) -> int:
-        return 0
-
 
 class Conv3x3(Layer):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
@@ -127,19 +124,17 @@ class Conv3x3(Layer):
             ("bias", self.bias, self.grad_bias, "none"),
         ]
 
-    def weight_count(self, include_biases=False):
-        return self.weights.size + (self.bias.size if include_biases else 0)
-
 
 class PReLU(Layer):
-    """Per-channel parametric rectifier with trainable negative slopes."""
+    """Per-channel parametric rectifier with trainable negative slopes,
+    all starting at 0.25."""
 
     kind = "prelu"
 
-    def __init__(self, channels: int, init_slope: float = 0.25, dtype=np.float64):
+    def __init__(self, channels: int, dtype=np.float64):
         self.channels = channels
         self.dtype = dtype
-        self.slope = np.full(channels, init_slope, dtype=dtype)
+        self.slope = np.full(channels, 0.25, dtype=dtype)
         self.grad_slope = np.zeros_like(self.slope)
         self._x = None
         self._neg = None
@@ -170,9 +165,6 @@ class PReLU(Layer):
 
     def param_items(self):
         return [("slope", self.slope, self.grad_slope, "none")]
-
-    def weight_count(self, include_biases=False):
-        return 0  # slopes are trainable but not counted as weights
 
 
 class CrossChannelNorm(Layer):
@@ -355,9 +347,6 @@ class Dense(Layer):
             ("weights", self.weights, self.grad_weights, "fc"),
             ("bias", self.bias, self.grad_bias, "none"),
         ]
-
-    def weight_count(self, include_biases=False):
-        return self.weights.size + (self.bias.size if include_biases else 0)
 
 
 class SoftmaxXent(Layer):

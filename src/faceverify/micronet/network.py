@@ -187,10 +187,12 @@ class Network:
                 yield (layer, *item)
 
     def weight_counts(self, include_biases: bool = False) -> list[tuple[str, int]]:
-        """Per-layer weight counts for parameterized layers, in order."""
+        """Per-layer weight counts for parameterized layers, in order.
+        PReLU slopes are trainable but not counted as weights."""
+        counted = ("weights", "bias") if include_biases else ("weights",)
         counts = []
         for spec, layer in zip(self.spec.layers, self.layers):
-            c = layer.weight_count(include_biases)
+            c = sum(value.size for name, value, _, _ in layer.param_items() if name in counted)
             if c:
                 counts.append((spec.name or spec.kind, c))
         return counts
@@ -202,10 +204,6 @@ def build_face_net(
     input_size: int = 100,
     width_divisor: int = 1,
     dropout_rate: float = 0.4,
-    lrn_size: int = 5,
-    lrn_alpha: float = 1e-4,
-    lrn_beta: float = 0.75,
-    lrn_k: float = 1.0,
     dtype=np.float64,
 ) -> Network:
     """Instantiate the stock architecture (parameters start at zero).
@@ -228,12 +226,7 @@ def build_face_net(
             if not is_last_conv:
                 specs.append(LayerSpec("prelu", in_channels=out_ch, name=f"prelu{block_num}{sub}"))
             if conv_idx in _NORM_AFTER:
-                specs.append(
-                    LayerSpec(
-                        "lrn", size=lrn_size, alpha=lrn_alpha, beta=lrn_beta, k=lrn_k,
-                        name=f"norm{block_num}",
-                    )
-                )
+                specs.append(LayerSpec("lrn", name=f"norm{block_num}"))
             prev = out_ch
             conv_idx += 1
         if block_num < len(_STOCK_BLOCKS):

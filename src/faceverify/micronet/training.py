@@ -17,14 +17,14 @@ from faceverify.linalg import make_rng
 
 __all__ = ["TrainConfig", "TrainResult", "learning_rate_at", "augment_batch", "train", "accuracy"]
 
+LR_HALVING_INTERVAL = 100_000  # iterations between halvings of the learning rate
+
 
 @dataclass
 class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-2
-    lr_halving_interval: int = 100_000
     momentum: float = 0.9
-    weight_decay_conv: float = 0.0
     weight_decay_fc: float = 5e-4
     max_iters: int = 1000
     seed: int = 0
@@ -32,20 +32,17 @@ class TrainConfig:
     hflip: bool = False
     random_crop: bool = False
     crop_size: int = 100
-    checkpoint_interval: int = 0  # 0 = final snapshot only
-    subtract_mean: bool = True
 
 
 @dataclass
 class TrainResult:
     losses: list[float] = field(default_factory=list)
     iterations: int = 0
-    checkpoints: list[int] = field(default_factory=list)
 
 
 def learning_rate_at(cfg: TrainConfig, iteration: int) -> float:
-    """Step schedule: base rate halved every lr_halving_interval iterations."""
-    return cfg.learning_rate * 0.5 ** (iteration // cfg.lr_halving_interval)
+    """Step schedule: base rate halved every LR_HALVING_INTERVAL iterations."""
+    return cfg.learning_rate * 0.5 ** (iteration // LR_HALVING_INTERVAL)
 
 
 def augment_batch(batch: np.ndarray, rng: np.random.Generator, cfg: TrainConfig, train: bool = True) -> np.ndarray:
@@ -79,7 +76,8 @@ def augment_batch(batch: np.ndarray, rng: np.random.Generator, cfg: TrainConfig,
 
 
 class _MomentumSGD:
-    """Classical momentum: v <- mu*v - lr*(grad + wd*w); w <- w + v."""
+    """Classical momentum: v <- mu*v - lr*(grad + wd*w); w <- w + v, with
+    wd = weight_decay_fc on the fully connected weights and 0 elsewhere."""
 
     def __init__(self, net, cfg: TrainConfig):
         self.cfg = cfg
@@ -87,27 +85,25 @@ class _MomentumSGD:
         self.velocities = [np.zeros_like(value) for _, _, value, _, _ in net.param_items()]
 
     def step(self, lr: float) -> None:
-        decay = {"conv": self.cfg.weight_decay_conv, "fc": self.cfg.weight_decay_fc, "none": 0.0}
         for v, (_, _, value, grad, group) in zip(self.velocities, self.net.param_items()):
-            wd = decay[group]
+            wd = self.cfg.weight_decay_fc if group == "fc" else 0.0
             g = grad + wd * value if wd else grad
             v *= self.cfg.momentum
             v -= lr * g
             value += v
 
 
-def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-          checkpoint_fn=None) -> TrainResult:
+def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Run momentum SGD for cfg.max_iters iterations.
 
     images: (n, h, w, c) float64 in [0, 1]; labels: (n,) int class ids.
+    The net subtracts the training images' mean pixel from every input.
     Batches are drawn by reshuffling the dataset each epoch.  Aborts
     with RuntimeError if the loss turns non-finite.
     """
     rng = make_rng(cfg.seed)
     net.initialize(rng, cfg.init_std)
-    if cfg.subtract_mean:
-        net.input_mean = float(images.mean())
+    net.input_mean = float(images.mean())
     optimizer = _MomentumSGD(net, cfg)
     result = TrainResult()
 
@@ -129,13 +125,6 @@ def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         optimizer.step(learning_rate_at(cfg, it))
         result.losses.append(loss)
         result.iterations = it + 1
-
-        if checkpoint_fn and cfg.checkpoint_interval and (it + 1) % cfg.checkpoint_interval == 0:
-            checkpoint_fn(net, it + 1)
-            result.checkpoints.append(it + 1)
-    if checkpoint_fn:
-        checkpoint_fn(net, result.iterations)
-        result.checkpoints.append(result.iterations)
     return result
 
 

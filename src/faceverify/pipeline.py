@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import configparser
 import logging
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,8 @@ class PipelineConfig:
     synth_s_eps: float = 0.25
     # protocol
     train_fraction: float = 2.0 / 3.0
-    fars: tuple = DEFAULT_FARS
-    ranks: tuple = DEFAULT_RANKS
+    fars: tuple[float, ...] = DEFAULT_FARS
+    ranks: tuple[int, ...] = DEFAULT_RANKS
     # metric training: steps sized for the unit-margin objective on the
     # synthetic desk-scale sets (library defaults in MetricTrainConfig are
     # much smaller; these are the documented values used by the runs here)
@@ -102,14 +103,6 @@ class SplitReport:
     num_splits: int
     tar_by_far: dict = field(default_factory=dict)       # far -> per-split list
     rank_accuracy: dict = field(default_factory=dict)    # rank -> per-split list
-
-    def aggregates(self) -> dict:
-        out = {}
-        for far, vals in self.tar_by_far.items():
-            out[f"tar@far={far:g}"] = aggregate_splits(vals)
-        for k, vals in self.rank_accuracy.items():
-            out[f"rank-{k}"] = aggregate_splits(vals)
-        return out
 
     def to_text(self) -> str:
         lines = [
@@ -269,32 +262,40 @@ _SECTIONS = {
 }
 
 
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _parse_value(parser: configparser.ConfigParser, section: str, key: str):
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
+        return parser.getboolean(section, key)
+    raw = parser.get(section, key)
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in raw.split(",") if v.strip())
+    return kind(raw)
+
+
 def load_config(path) -> PipelineConfig:
+    """Read a config file; an unknown section or key, or a value its
+    field cannot take, fails with an error that names the file."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    cfg = PipelineConfig()
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
     kwargs = {}
-    type_of = {f.name: f.type for f in fields(PipelineConfig)}
-    for section, keys in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        for key in keys:
-            if not parser.has_option(section, key):
-                continue
-            raw = parser.get(section, key)
-            if key in ("fars", "ranks"):
-                conv = float if key == "fars" else int
-                kwargs[key] = tuple(conv(v) for v in raw.split(",") if v.strip())
-            elif type_of[key] == "int":
-                kwargs[key] = int(raw)
-            elif type_of[key] == "float":
-                kwargs[key] = float(raw)
-            elif type_of[key] == "bool":
-                kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                kwargs[key] = raw
-    return replace(cfg, **kwargs)
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _SECTIONS[section]:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+            try:
+                kwargs[key] = _parse_value(parser, section, key)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
+    return PipelineConfig(**kwargs)
 
 
 def write_config(cfg: PipelineConfig, path) -> None:
@@ -303,7 +304,7 @@ def write_config(cfg: PipelineConfig, path) -> None:
         parser.add_section(section)
         for key in keys:
             value = getattr(cfg, key)
-            if key in ("fars", "ranks"):
+            if isinstance(value, tuple):
                 value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
             parser.set(section, key, str(value))
     with open(path, "w", encoding="utf-8") as fh:

@@ -52,12 +52,12 @@ def read_manifest(path) -> list[ManifestRow]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != MANIFEST_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
+            raise ValueError(f"{path}:1: expected header {','.join(MANIFEST_HEADER)}")
         for rec in reader:
             if not rec:
                 continue
             if len(rec) != len(MANIFEST_HEADER):
-                raise ValueError(f"{path}: malformed row {rec!r}")
+                raise ValueError(f"{path}:{reader.line_num}: malformed row {rec!r}")
             rows.append(ManifestRow(*rec))
     return rows
 
@@ -135,6 +135,8 @@ def build_templates(
         if subject != r.subject_id:
             raise ValueError(f"template {r.template_id} spans subjects {subject} and {r.subject_id}")
         media_rows.setdefault(r.template_id, []).append(index[r.media_path])
+    if not media_rows:
+        raise ValueError(f"no manifest rows with role {role!r} and split {split!r} (None: any)")
     ids = list(media_rows)
     pooled = np.stack([pool_template(features[media_rows[t]]) for t in ids])
     return ids, [subject_of[t] for t in ids], pooled

@@ -26,6 +26,15 @@ def make_blob_images(n=500, size=32, num_classes=10, seed=0):
     return images, labels
 
 
+def write_landmark_file(path, records):
+    """Write (media, LandmarkSet) records in the format that
+    align.read_landmark_file parses: 'media,x0,y0,...,x6,y6' per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for media, lm in records:
+            coords = ",".join(f"{v:.6f}" for v in lm.points.ravel())
+            fh.write(f"{media},{coords}\n")
+
+
 def central_diff_gradient(f, x, eps=1e-5):
     """Central finite-difference gradient of scalar f w.r.t. array x,
     computed entry by entry (x is perturbed in place and restored)."""

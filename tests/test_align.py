@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import write_landmark_file
 from faceverify.align import (
     CanonicalFrame,
     LandmarkSet,
@@ -12,7 +13,6 @@ from faceverify.align import (
     read_landmark_file,
     warp_image,
     warp_to_canonical,
-    write_landmark_file,
 )
 from faceverify.linalg import make_rng
 

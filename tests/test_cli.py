@@ -4,11 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import write_landmark_file
 from faceverify import pnm
-from faceverify.align import CanonicalFrame, SimilarityTransform, write_landmark_file, LandmarkSet
+from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
 from faceverify.linalg import make_rng
-from faceverify.storage import read_features
+from faceverify.micronet import build_face_net, extract_features
+from faceverify.pipeline import PipelineConfig, load_config, write_config
+from faceverify.storage import read_checkpoint, read_features, write_checkpoint
 from faceverify.templates import read_score_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -199,6 +202,29 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"evaluate: error: {manifest}: lacks template 'g_s")
 
+    def test_pool_names_manifest_and_missing_role(self, synth_run, tmp_path, capsys):
+        manifest = synth_run / "split00" / "manifest.csv"
+        rc = main([
+            "pool", "--features", str(synth_run / "features.jvfe"), "--manifest", str(manifest),
+            "--role", "nosuch", "--out", str(tmp_path / "pooled.jvfe"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pool: error: {manifest}: no manifest rows with role 'nosuch' and split None")
+
+    def test_train_metric_names_manifest_and_missing_id(self, synth_run, tmp_path, capsys):
+        features = synth_run / "features.jvfe"
+        manifest = tmp_path / "media.csv"
+        lines = (synth_run / "media.csv").read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:5]))  # header and the first four media
+        rc = main([
+            "train-metric", "--features", str(features), "--manifest", str(manifest),
+            "--out", str(tmp_path / "metric.jvjb"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"train-metric: error: {manifest}: lacks media 's0000/m04' named in {features}\n"
+
     def test_train_metric_command(self, synth_run, tmp_path):
         run = synth_run
         model_path = tmp_path / "metric.jvjb"
@@ -262,6 +288,38 @@ class TestTrainExtractCommands:
         npt.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-5)
 
 
+    @pytest.fixture
+    def net8(self, tmp_path):
+        """A checkpoint of a net that takes 8x8 gray inputs."""
+        net = build_face_net(num_classes=2, input_size=8, width_divisor=16)
+        net.initialize(make_rng(3), 0.1)
+        path = tmp_path / "net8.jvnt"
+        write_checkpoint(path, net)
+        return path
+
+    @pytest.mark.parametrize("h, w", [(10, 8), (12, 10), (9, 12), (8, 8)])
+    def test_extract_center_crops_each_axis(self, net8, tmp_path, h, w):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", make_rng(4).random((h, w)))
+        rc = main(["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(tmp_path / "f.jvfe")])
+        assert rc == 0
+        oy, ox = (h - 8) // 2, (w - 8) // 2
+        crop = pnm.read_pnm(img_dir / "a.pgm")[oy : oy + 8, ox : ox + 8]
+        expected = extract_features(read_checkpoint(net8), crop[None, :, :, None])
+        npt.assert_array_equal(read_features(tmp_path / "f.jvfe")[0], expected.astype(np.float32))
+
+    @pytest.mark.parametrize("h, w", [(6, 8), (8, 7)])
+    def test_extract_rejects_image_smaller_than_net_input(self, net8, tmp_path, capsys, h, w):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "small.pgm", np.zeros((h, w)))
+        rc = main(["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(tmp_path / "f.jvfe")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"extract: error: {img_dir / 'small.pgm'}: {h}x{w} image is smaller than the 8x8 net input\n"
+
+
 def test_label_manifest_without_comma_names_line(tmp_path, capsys):
     manifest = tmp_path / "train.csv"
     manifest.write_text("img00.pgm,class0\nimg01.pgm class1\n")
@@ -317,6 +375,36 @@ class TestReportCommand:
         echoed = (tmp_path / "out" / "config.resolved.ini").read_text()
         assert "synth_subjects = 12" in echoed
         assert "gamma = 5.0" in echoed
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[metric]\ngama = 5\n", "unknown key 'gama' in [metric]"),
+            ("[metrc]\nepochs = 3\n", "unknown section [metrc]"),
+            ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+            ("[metric]\nsymmetrize_b = maybe\n", "[metric] symmetrize_b: Not a boolean: maybe"),
+            ("[pipeline]\nsplits = two\n", "[pipeline] splits: invalid literal for int()"),
+        ],
+        ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int"],
+    )
+    def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        rc = main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"report: error: {cfg_path}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_resolved_reads_back_equal(self, tmp_path):
+        cfg = PipelineConfig(
+            out_dir=str(tmp_path / "x"), seed=7, scorer="cosine", synth_s_eps=0.5,
+            fars=(0.001, 0.5), ranks=(2, 3), epochs=9, symmetrize_b=False,
+        )
+        write_config(cfg, tmp_path / "cfg.ini")
+        assert load_config(tmp_path / "cfg.ini") == cfg
+        for raw, value in (("off", False), ("0", False), ("no", False), ("on", True), ("yes", True), ("1", True)):
+            (tmp_path / "b.ini").write_text(f"[metric]\nsymmetrize_b = {raw}\n")
+            assert load_config(tmp_path / "b.ini").symmetrize_b is value
 
     def test_bad_config_path_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

@@ -2,79 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from faceverify.linalg import derive_seed, gaussian_matrix, l2_normalize, make_rng, matmul, outer
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = make_rng(0)
-        a = rng.standard_normal((3, 3))
-        npt.assert_array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_example(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        npt.assert_array_equal(out, [[2.0], [4.0]])
-
-    def test_against_naive_loop(self):
-        rng = make_rng(1)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        npt.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-13, atol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = make_rng(2)
-        for _ in range(5):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 6))
-            c = rng.standard_normal((6, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            npt.assert_allclose(left, right, rtol=1e-12)
-
-
-class TestOuter:
-    def test_basis_vectors(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        out = outer(e1, e2)
-        expected = np.zeros((3, 3))
-        expected[0, 1] = 1.0
-        npt.assert_array_equal(out, expected)
-
-    def test_hand_example(self):
-        npt.assert_array_equal(outer([1.0, 2.0], [3.0, 4.0]), [[3.0, 4.0], [6.0, 8.0]])
-
-    def test_self_outer_symmetric_psd(self):
-        rng = make_rng(3)
-        u = rng.standard_normal(6)
-        m = outer(u, u)
-        npt.assert_array_equal(m, m.T)
-        assert np.linalg.eigvalsh(m).min() >= -1e-12
-
-    def test_transpose_identity(self):
-        rng = make_rng(4)
-        u = rng.standard_normal(5)
-        v = rng.standard_normal(5)
-        npt.assert_array_equal(outer(u, v).T, outer(v, u))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            outer([1.0, 2.0], [1.0, 2.0, 3.0])
+from faceverify.linalg import derive_seed, gaussian_matrix, l2_normalize, make_rng
 
 
 class TestGaussianMatrix:

@@ -6,6 +6,7 @@ from faceverify.evaluation import roc
 from faceverify.linalg import l2_normalize, make_rng
 from faceverify.metric import init_model
 from faceverify.templates import (
+    MANIFEST_HEADER,
     ManifestRow,
     build_templates,
     fuse_scores,
@@ -132,7 +133,11 @@ class TestManifest:
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bad\.csv:1: expected header"):
+            read_manifest(path)
+        # a malformed row is named by its line, blank lines included
+        path.write_text(",".join(MANIFEST_HEADER) + "\nt1,s1,a.pgm,gallery,0\n\nt2,s2,b.pgm\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: malformed row \['t2', 's2', 'b.pgm'\]"):
             read_manifest(path)
 
     def test_build_templates_groups_and_pools(self):
@@ -161,6 +166,12 @@ class TestManifest:
         ]
         with pytest.raises(ValueError, match="spans subjects"):
             build_templates(rows, feats, ["m0", "m1"], role="gallery")
+
+    @pytest.mark.parametrize("role, split", [("nosuch", None), ("gallery", "7")])
+    def test_build_templates_no_matching_rows(self, role, split):
+        rows = [ManifestRow("t1", "s1", "m0", "gallery", "0")]
+        with pytest.raises(ValueError, match=f"no manifest rows with role {role!r} and split {split!r}"):
+            build_templates(rows, np.ones((1, 4)) / 2, ["m0"], role=role, split=split)
 
     def test_build_templates_missing_media(self):
         rows = [ManifestRow("t1", "s1", "nope", "gallery", "0")]

@@ -31,7 +31,7 @@ class TestSchedule:
 
         from faceverify.micronet.training import _MomentumSGD
 
-        cfg = TrainConfig(momentum=0.0, weight_decay_fc=0.0, weight_decay_conv=0.0)
+        cfg = TrainConfig(momentum=0.0, weight_decay_fc=0.0)
         net.loss(x, labels, train=True)
         net.backward(labels)
         grads = [grad.copy() for _, _, _, grad, _ in net.param_items()]
@@ -112,11 +112,3 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=16, learning_rate=1e6, max_iters=50, seed=13, init_std=0.5)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged"):
             train(net, images, labels, cfg)
-
-    def test_checkpoint_callback_final_snapshot(self):
-        images, labels = make_blob_images(n=16, size=16, num_classes=4, seed=14)
-        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
-        cfg = TrainConfig(batch_size=8, max_iters=7, seed=15, checkpoint_interval=3)
-        seen = []
-        train(net, images, labels, cfg, checkpoint_fn=lambda n, it: seen.append(it))
-        assert seen == [3, 6, 7]
