@@ -53,9 +53,8 @@ def cmd_align(args) -> int:
         except (ValueError, OSError) as exc:
             failures.append((name, str(exc)))
     if failures:
-        with open(out_dir / "align_failures.txt", "w", encoding="utf-8") as fh:
-            for name, reason in failures:
-                fh.write(f"{name},{reason}\n")
+        text = "".join(f"{name},{reason}\n" for name, reason in failures)
+        storage.write_file(out_dir / "align_failures.txt", [text.encode("utf-8")])
     print(f"align: wrote {written} images, {len(failures)} warnings")
     return 0
 
@@ -80,6 +79,8 @@ def _load_images(root: Path, media: list[str]) -> np.ndarray:
         img = pnm.read_pnm(root / m)
         if img.ndim == 2:
             img = img[:, :, None]
+        if imgs and img.shape != imgs[0].shape:
+            raise ValueError(f"{root / m}: shape {img.shape} differs from {imgs[0].shape} of {root / media[0]}")
         imgs.append(img)
     return np.stack(imgs)
 
@@ -182,7 +183,16 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    """A comma-separated flag value; a bad item fails naming the flag."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError as exc:  # the message quotes the bad item
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_evaluate(args) -> int:
+    fars, ranks = _parse_list("--fars", args.fars, float), _parse_list("--ranks", args.ranks, int)
     scores, gallery_ids, probe_ids = templates.read_score_matrix(args.scores)
     subject_of_template = {}
     for r in templates.read_manifest(args.manifest):
@@ -196,14 +206,14 @@ def cmd_evaluate(args) -> int:
         scores,
         [subject_of_template[g] for g in gallery_ids],
         [subject_of_template[p] for p in probe_ids],
-        [float(v) for v in args.fars.split(",")],
-        [int(v) for v in args.ranks.split(",")],
+        fars,
+        ranks,
         out_dir / "roc.csv",
         out_dir / "cmc.csv",
     )
     lines = [f"tar@far={f:g},{tar:.6f}" for f, tar in tars.items()]
     lines += [f"rank-{k},{acc:.6f}" for k, acc in accuracies.items()]
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    storage.write_file(out_dir / "summary.csv", [("\n".join(lines) + "\n").encode("utf-8")])
     print("evaluate:", "; ".join(lines))
     return 0
 
@@ -238,16 +248,8 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = pl.load_config(args.config) if args.config else pl.PipelineConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.splits is not None:
-        overrides["splits"] = args.splits
-    if args.scorer is not None:
-        overrides["scorer"] = args.scorer
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    cfg = replace(cfg, **overrides)
+    flags = {key: getattr(args, key) for key in ("seed", "splits", "scorer", "out_dir")}
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
     report = pl.run_pipeline(cfg)
     sys.stdout.write(report.to_text())
     return 0

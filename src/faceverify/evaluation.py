@@ -17,10 +17,11 @@ Conventions, fixed so every figure is reproducible and oracle-checkable:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from faceverify.storage import write_file
 
 __all__ = [
     "DEFAULT_FARS",
@@ -35,7 +36,6 @@ __all__ = [
     "emit_curves",
     "evaluate_split",
     "read_pair_file",
-    "write_pair_file",
 ]
 
 
@@ -188,17 +188,13 @@ def lfw_protocol(folds: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, flo
 
 
 def emit_curves(curve: RocCurve, cmc_result: CmcResult, roc_path, cmc_path) -> None:
-    """Write plot-ready (far, tar) and (rank, accuracy) tables."""
-    with open(roc_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["far", "tar"])
-        for f, t in zip(curve.far, curve.tar):
-            writer.writerow([f"{f:.17g}", f"{t:.17g}"])
-    with open(cmc_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "accuracy"])
-        for k, acc in enumerate(cmc_result.accuracies, start=1):
-            writer.writerow([k, f"{acc:.17g}"])
+    """Write plot-ready (far, tar) and (rank, accuracy) CSV tables, \\r\\n-terminated."""
+    roc_rows = zip(curve.far.tolist(), curve.tar.tolist())
+    roc_text = "far,tar\r\n" + "".join("%.17g,%.17g\r\n" % row for row in roc_rows)
+    write_file(roc_path, [roc_text.encode("utf-8")])
+    cmc_rows = enumerate(cmc_result.accuracies.tolist(), start=1)
+    cmc_text = "rank,accuracy\r\n" + "".join("%d,%.17g\r\n" % row for row in cmc_rows)
+    write_file(cmc_path, [cmc_text.encode("utf-8")])
 
 
 def evaluate_split(
@@ -233,8 +229,3 @@ def read_pair_file(path) -> list[tuple[str, str, int]]:
             pairs.append((parts[0], parts[1], int(parts[2])))
     return pairs
 
-
-def write_pair_file(path, pairs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, y in pairs:
-            fh.write(f"{a},{b},{y}\n")

@@ -11,6 +11,7 @@ byte-reproducible for a given config.
 from __future__ import annotations
 
 import configparser
+import io
 import logging
 import typing
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from faceverify.metric import (
     generate_synthetic,
     train_metric,
 )
-from faceverify.storage import read_features, write_features, write_metric_model
+from faceverify.storage import read_features, write_features, write_file, write_metric_model
 from faceverify.templates import (
     SCORERS,
     ManifestRow,
@@ -105,26 +106,16 @@ class SplitReport:
     rank_accuracy: dict = field(default_factory=dict)    # rank -> per-split list
 
     def to_text(self) -> str:
-        lines = [
-            "faceverify evaluation report",
-            f"scorer={self.scorer}",
-            f"splits={self.num_splits}",
-            "",
-            "[verification]",
-        ]
-        fars = sorted(self.tar_by_far)
-        lines.append("split," + ",".join(f"tar@far={f:g}" for f in fars))
-        for s in range(self.num_splits):
-            lines.append(f"{s}," + ",".join(f"{self.tar_by_far[f][s]:.6f}" for f in fars))
-        for stat, idx in (("mean", 0), ("std", 1)):
-            lines.append(stat + "," + ",".join(f"{aggregate_splits(self.tar_by_far[f])[idx]:.6f}" for f in fars))
-        lines += ["", "[identification]"]
-        ranks = sorted(self.rank_accuracy)
-        lines.append("split," + ",".join(f"rank-{k}" for k in ranks))
-        for s in range(self.num_splits):
-            lines.append(f"{s}," + ",".join(f"{self.rank_accuracy[k][s]:.6f}" for k in ranks))
-        for stat, idx in (("mean", 0), ("std", 1)):
-            lines.append(stat + "," + ",".join(f"{aggregate_splits(self.rank_accuracy[k])[idx]:.6f}" for k in ranks))
+        lines = ["faceverify evaluation report", f"scorer={self.scorer}", f"splits={self.num_splits}"]
+        for section, table, label in (
+            ("verification", self.tar_by_far, "tar@far={:g}"),
+            ("identification", self.rank_accuracy, "rank-{}"),
+        ):
+            keys = sorted(table)
+            lines += ["", f"[{section}]", "split," + ",".join(label.format(k) for k in keys)]
+            lines += [f"{s}," + ",".join(f"{table[k][s]:.6f}" for k in keys) for s in range(self.num_splits)]
+            for stat, idx in (("mean", 0), ("std", 1)):
+                lines.append(stat + "," + ",".join(f"{aggregate_splits(table[k])[idx]:.6f}" for k in keys))
         return "\n".join(lines) + "\n"
 
 
@@ -207,9 +198,7 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     write_config(cfg, out_dir / "config.resolved.ini")
 
     feats, media_ids, subject_of = _load_dataset(cfg, out_dir)
-    report = SplitReport(scorer=cfg.scorer, num_splits=cfg.splits)
-    report.tar_by_far = {f: [] for f in cfg.fars}
-    report.rank_accuracy = {k: [] for k in cfg.ranks}
+    report = SplitReport(cfg.scorer, cfg.splits, {f: [] for f in cfg.fars}, {k: [] for k in cfg.ranks})
 
     for s in range(cfg.splits):
         split_dir = out_dir / f"split{s:02d}"
@@ -247,7 +236,7 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
             report.rank_accuracy[k].append(accuracies[k])
         log.info("split %d done: %s", s, tars)
 
-    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+    write_file(out_dir / "report.txt", [report.to_text().encode("utf-8")])
     return report
 
 
@@ -307,5 +296,6 @@ def write_config(cfg: PipelineConfig, path) -> None:
             if isinstance(value, tuple):
                 value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
             parser.set(section, key, str(value))
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
+    buf = io.StringIO()
+    parser.write(buf)
+    write_file(path, [buf.getvalue().encode("utf-8")])

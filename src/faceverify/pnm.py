@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 
+from faceverify.storage import write_file
+
 __all__ = ["read_pnm", "write_pnm"]
 
 
@@ -68,6 +70,4 @@ def write_pnm(path: str | os.PathLike, img: np.ndarray) -> None:
         raise ValueError(f"cannot encode shape {img.shape} as PGM/PPM")
     quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     height, width = quant.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (width, height))
-        fh.write(quant.tobytes())
+    write_file(path, [magic + b"\n%d %d\n255\n" % (width, height), quant.tobytes()])

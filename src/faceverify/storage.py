@@ -1,4 +1,5 @@
-"""On-disk containers.
+"""On-disk containers, and `write_file`, through which every artifact
+the program writes reaches disk atomically.
 
 Three little-endian binary formats, each opened by a four-byte magic:
 
@@ -8,12 +9,17 @@ Three little-endian binary formats, each opened by a four-byte magic:
         bias), each array flattened row-major.
   JVFE  feature matrix: magic, dim u32, count u64, count*dim float32;
         a text sidecar at <path>.ids maps row -> media id, one per line.
+        The sidecar is replaced first and the matrix last, so once a new
+        matrix is visible its ids are too; between the two renames a
+        reader can see new ids beside the old matrix.
   JVJB  joint Bayes model: magic, dim u32, M (dim^2), B (dim^2), b,
         all float64.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 import typing
 from dataclasses import replace
@@ -26,6 +32,7 @@ from faceverify.metric import JointBayesModel
 from faceverify.micronet.network import LAYER_KINDS, LayerSpec, Network, NetworkSpec
 
 __all__ = [
+    "write_file",
     "write_checkpoint",
     "read_checkpoint",
     "write_features",
@@ -40,6 +47,25 @@ FEATURE_MAGIC = b"JVFE"
 METRIC_MAGIC = b"JVJB"
 
 _FIELD_TYPES = typing.get_type_hints(LayerSpec)
+
+
+def write_file(path, chunks) -> None:
+    """Write the byte chunks to a new temp file in path's directory, then
+    os.replace it over path.  On any exception, also one raised while
+    the chunks are made, the temp file is deleted and path is left as
+    it was.  The file gets mode 0o666 & ~umask, as open() gives a new
+    file; a replaced file's mode is not kept.  No fsync: this guards
+    against a crashed or killed process, not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
@@ -108,13 +134,9 @@ def _spec_from_text(text: str) -> tuple[NetworkSpec, float]:
 
 def write_checkpoint(path, net: Network) -> None:
     spec_bytes = _spec_to_text(net).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(spec_bytes)))
-        fh.write(spec_bytes)
-        for _, _, value, _, _ in net.param_items():
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(spec_bytes)) + spec_bytes
+    params = (np.ascontiguousarray(value, dtype="<f8").tobytes() for _, _, value, _, _ in net.param_items())
+    write_file(path, itertools.chain([header], params))
 
 
 def read_checkpoint(path) -> Network:
@@ -149,15 +171,12 @@ def write_features(path, features: np.ndarray, media_ids: list[str]) -> None:
         raise ValueError(f"feature matrix must be 2-D, got shape {features.shape}")
     if features.shape[0] != len(media_ids):
         raise ValueError("row count does not match id count")
-    count, dim = features.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", dim))
-        fh.write(struct.pack("<Q", count))
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-    with open(_ids_path(path), "w", encoding="utf-8") as fh:
-        for m in media_ids:
-            fh.write(m + "\n")
+    for row, m in enumerate(media_ids):
+        if not m or "\n" in m or "\r" in m:
+            raise ValueError(f"{path}: media id {m!r} of row {row} is empty or holds a line break")
+    write_file(_ids_path(path), ["".join(m + "\n" for m in media_ids).encode("utf-8")])
+    header = FEATURE_MAGIC + struct.pack("<IQ", features.shape[1], features.shape[0])
+    write_file(path, [header, np.ascontiguousarray(features, dtype="<f4").tobytes()])
 
 
 def read_features(path) -> tuple[np.ndarray, list[str]]:
@@ -178,13 +197,8 @@ def read_features(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_metric_model(path, model: JointBayesModel) -> None:
-    d = model.dim
-    with open(path, "wb") as fh:
-        fh.write(METRIC_MAGIC)
-        fh.write(struct.pack("<I", d))
-        fh.write(np.ascontiguousarray(model.M, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.B, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", model.b))
+    values = [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in (model.M, model.B, [model.b])]
+    write_file(path, [METRIC_MAGIC + struct.pack("<I", model.dim), *values])
 
 
 def read_metric_model(path) -> JointBayesModel:

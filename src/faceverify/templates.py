@@ -9,12 +9,14 @@ unit length so both scorers see unit vectors.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel, cosine_matrix, similarity_matrix
+from faceverify.storage import write_file
 
 __all__ = [
     "SCORERS",
@@ -63,11 +65,10 @@ def read_manifest(path) -> list[ManifestRow]:
 
 
 def write_manifest(path, rows: list[ManifestRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for r in rows:
-            writer.writerow([r.template_id, r.subject_id, r.media_path, r.role, r.split])
+    buf = io.StringIO()
+    body = ([r.template_id, r.subject_id, r.media_path, r.role, r.split] for r in rows)
+    csv.writer(buf).writerows([MANIFEST_HEADER, *body])
+    write_file(path, [buf.getvalue().encode("utf-8")])
 
 
 def check_split_disjoint(rows: list[ManifestRow]) -> None:
@@ -175,11 +176,10 @@ def write_score_matrix(path, scores: np.ndarray, gallery_ids: list[str], probe_i
     scores = np.asarray(scores)
     if scores.shape != (len(gallery_ids), len(probe_ids)):
         raise ValueError("score matrix shape does not match id lists")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gallery_id"] + list(probe_ids))
-        for gid, row in zip(gallery_ids, scores):
-            writer.writerow([gid] + [f"{v:.17g}" for v in row])
+    buf = io.StringIO()
+    body = ([gid, *("%.17g" % v for v in row)] for gid, row in zip(gallery_ids, scores.tolist()))
+    csv.writer(buf).writerows([["gallery_id", *probe_ids], *body])
+    write_file(path, [buf.getvalue().encode("utf-8")])
 
 
 def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:

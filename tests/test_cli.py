@@ -202,6 +202,22 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"evaluate: error: {manifest}: lacks template 'g_s")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fars", "0.01,,x", "could not convert string to float: ''"),
+        ("--fars", "0.01,x", "could not convert string to float: 'x'"),
+        ("--ranks", "1,5.5", "invalid literal for int() with base 10: '5.5'"),
+        ("--ranks", "1,", "invalid literal for int() with base 10: ''"),
+    ])
+    def test_evaluate_names_bad_flag_item(self, synth_run, tmp_path, capsys, flag, value, message):
+        split = synth_run / "split00"
+        rc = main([
+            "evaluate", "--scores", str(split / "scores.csv"), "--manifest", str(split / "manifest.csv"),
+            "--out-dir", str(tmp_path / "eval"), flag, value,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"evaluate: error: {flag}: {message}\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_pool_names_manifest_and_missing_role(self, synth_run, tmp_path, capsys):
         manifest = synth_run / "split00" / "manifest.csv"
         rc = main([
@@ -318,6 +334,23 @@ class TestTrainExtractCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"extract: error: {img_dir / 'small.pgm'}: {h}x{w} image is smaller than the 8x8 net input\n"
+
+    @pytest.mark.parametrize("command", ["extract", "train-cnn"])
+    def test_images_of_different_shapes_name_the_odd_one(self, net8, tmp_path, capsys, command):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
+        pnm.write_pnm(img_dir / "b.pgm", np.zeros((10, 10)))
+        if command == "extract":
+            argv = ["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(tmp_path / "f.jvfe")]
+        else:
+            manifest = tmp_path / "train.csv"
+            manifest.write_text("a.pgm,c0\nb.pgm,c1\n")
+            argv = ["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir),
+                    "--out", str(tmp_path / "net.jvnt")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"{command}: error: {img_dir / 'b.pgm'}: shape (10, 10, 1) differs from (8, 8, 1) of {img_dir / 'a.pgm'}\n"
 
 
 def test_label_manifest_without_comma_names_line(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import write_pair_file
 from faceverify.evaluation import (
     aggregate_splits,
     cmc,
@@ -13,7 +14,6 @@ from faceverify.evaluation import (
     read_pair_file,
     roc,
     tar_at_far,
-    write_pair_file,
 )
 from faceverify.linalg import make_rng
 

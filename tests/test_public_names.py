@@ -27,7 +27,6 @@ UNCALLED = {
     # the paper's 10-fold LFW pairs protocol, not yet wired into a subcommand
     "faceverify.evaluation.lfw_protocol",
     "faceverify.evaluation.read_pair_file",
-    "faceverify.evaluation.write_pair_file",
     # the single-pair reference the tests compare the matrix and training paths against
     "faceverify.metric.similarity",
     # scores the toy CNN in the acceptance suite

@@ -1,3 +1,5 @@
+import ast
+import os
 import struct
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from faceverify.storage import (
     read_metric_model,
     write_checkpoint,
     write_features,
+    write_file,
     write_metric_model,
 )
 
@@ -159,6 +162,27 @@ class TestFeatures:
         with pytest.raises(ValueError, match="f.jvfe: row 1 holds NaN or inf"):
             read_features(path)
 
+    @pytest.mark.parametrize("ids, row", [(["", "b"], 0), (["a\nq", "b"], 0), (["a", "b\r"], 1), (["a", "b", ""], 2)])
+    def test_bad_media_id_rejected_before_any_write(self, tmp_path, ids, row):
+        path = tmp_path / "f.jvfe"
+        write_features(path, np.zeros((len(ids), 2)), [f"old{k}" for k in range(len(ids))])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=f"f.jvfe: media id .* of row {row} is empty or holds a line break"):
+            write_features(path, np.ones((len(ids), 2)), ids)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_sidecar_replaced_before_matrix(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def record(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        write_features(tmp_path / "f.jvfe", np.zeros((2, 3)), ["a", "b"])
+        assert replaced == ["f.jvfe.ids", "f.jvfe"]
+
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.jvfe"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -204,3 +228,70 @@ class TestMetricModel:
         write_metric_model(p1, model)
         write_metric_model(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteFile:
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_file(path, [b"ab", b"", memoryview(b"cd")])
+        assert path.read_bytes() == b"abcd"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failure_midway_keeps_old_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+
+        def chunks():
+            yield b"new "
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            write_file(path, chunks())
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=r"nodir/\.out\.bin\.[0-9a-f]+\.tmp"):
+            write_file(tmp_path / "nodir" / "out.bin", [b"x"])
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002], ids=oct)
+    def test_new_file_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_file(tmp_path / "out.bin", [b"x"])
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.bin").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "faceverify"
+
+
+def _file_writes(path: Path) -> list[str]:
+    """'line: call' for every call in the file that opens a file to write
+    (an open() whose mode has w, a or x, or is not a literal) or writes
+    a whole file (Path.write_text, Path.write_bytes, ndarray.tofile)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
+        if name in ("write_text", "write_bytes", "tofile"):
+            found.append(f"{node.lineno}: {name}")
+        elif name in ("open", "fdopen"):
+            # the mode is the second argument of open(), io.open() and
+            # os.fdopen(), the first of Path.open()
+            on_path = isinstance(func, ast.Attribute) and ast.unparse(func.value) not in ("io", "os")
+            modes = node.args[0 if on_path else 1 :][:1] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and not set("wax") & set(str(m.value))) for m in modes):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_storage_writes_files():
+    """Every artifact reaches disk through storage.write_file, so only
+    the storage module opens a file for writing."""
+    writes = {str(path.relative_to(PACKAGE)): _file_writes(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: found for name, found in writes.items() if found} == {"storage.py": writes["storage.py"]}
+    assert writes["storage.py"]  # the scan does see write_file's own open()
