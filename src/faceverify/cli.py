@@ -73,7 +73,10 @@ def _read_label_manifest(path) -> list[tuple[str, str]]:
     return rows
 
 
-def _load_images(root: Path, media: list[str]) -> np.ndarray:
+def _load_images(root: Path, media: list[str], source) -> np.ndarray:
+    """The images that source (a directory or a list file) names, stacked."""
+    if not media:
+        raise ValueError(f"{source}: no {' or '.join(IMAGE_SUFFIXES)} images")
     imgs = []
     for m in media:
         img = pnm.read_pnm(root / m)
@@ -89,7 +92,7 @@ def cmd_train_cnn(args) -> int:
     rows = _read_label_manifest(args.manifest)
     classes = sorted({label for _, label in rows})
     class_index = {c: i for i, c in enumerate(classes)}
-    images = _load_images(Path(args.images_root), [m for m, _ in rows])
+    images = _load_images(Path(args.images_root), [m for m, _ in rows], args.manifest)
     labels = np.array([class_index[label] for _, label in rows])
     net = build_face_net(
         num_classes=len(classes),
@@ -121,7 +124,7 @@ def cmd_extract(args) -> int:
             media = [line.strip() for line in fh if line.strip()]
     else:
         media = [p.name for p in _image_list(root)]
-    images = _load_images(root, media)
+    images = _load_images(root, media, args.list or root)
     (h, w), (th, tw) = images.shape[1:3], net.spec.input_shape[:2]
     if h < th or w < tw:
         raise ValueError(f"{root / media[0]}: {h}x{w} image is smaller than the {th}x{tw} net input")
@@ -146,12 +149,7 @@ def cmd_pool(args) -> int:
 
 
 def cmd_train_metric(args) -> int:
-    feats, media_ids = storage.read_features(args.features)
-    rows = templates.read_manifest(args.manifest)
-    subject_of = {r.media_path: r.subject_id for r in rows}
-    missing = [m for m in media_ids if m not in subject_of]
-    if missing:
-        raise ValueError(f"{args.manifest}: lacks media {missing[0]!r} named in {args.features}")
+    feats, media_ids, subject_of = templates.read_labelled_features(args.features, args.manifest)
     labels = np.array([subject_of[m] for m in media_ids])
     cfg = MetricTrainConfig(
         gamma=args.gamma,
@@ -194,9 +192,11 @@ def _parse_list(flag: str, text: str, kind) -> list:
 def cmd_evaluate(args) -> int:
     fars, ranks = _parse_list("--fars", args.fars, float), _parse_list("--ranks", args.ranks, int)
     scores, gallery_ids, probe_ids = templates.read_score_matrix(args.scores)
-    subject_of_template = {}
-    for r in templates.read_manifest(args.manifest):
-        subject_of_template.setdefault(r.template_id, r.subject_id)
+    rows = templates.read_manifest(args.manifest)
+    try:
+        subject_of_template = templates.template_subjects(rows)
+    except ValueError as exc:
+        raise ValueError(f"{args.manifest}: {exc}") from exc
     missing = [t for t in gallery_ids + probe_ids if t not in subject_of_template]
     if missing:
         raise ValueError(f"{args.manifest}: lacks template {missing[0]!r} named in {args.scores}")

@@ -32,10 +32,8 @@ __all__ = [
     "tar_at_far",
     "cmc",
     "aggregate_splits",
-    "lfw_protocol",
     "emit_curves",
     "evaluate_split",
-    "read_pair_file",
 ]
 
 
@@ -46,11 +44,10 @@ DEFAULT_RANKS = (1, 5, 10)
 
 @dataclass(frozen=True)
 class RocCurve:
-    thresholds: np.ndarray  # descending; +inf first (all-reject point)
+    """Operating points by descending threshold, all-reject (0, 0) first."""
+
     far: np.ndarray
     tar: np.ndarray
-    num_positive: int
-    num_negative: int
 
 
 @dataclass(frozen=True)
@@ -83,13 +80,7 @@ def roc(scores, labels) -> RocCurve:
     neg_sorted = np.sort(neg)
     tar = (len(pos) - np.searchsorted(pos_sorted, thresholds, side="left")) / len(pos)
     far = (len(neg) - np.searchsorted(neg_sorted, thresholds, side="left")) / len(neg)
-    return RocCurve(
-        thresholds=np.concatenate([[np.inf], thresholds]),
-        far=np.concatenate([[0.0], far]),
-        tar=np.concatenate([[0.0], tar]),
-        num_positive=len(pos),
-        num_negative=len(neg),
-    )
+    return RocCurve(far=np.concatenate([[0.0], far]), tar=np.concatenate([[0.0], tar]))
 
 
 def tar_at_far(curve: RocCurve, far: float) -> float:
@@ -141,52 +132,6 @@ def aggregate_splits(values) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Threshold (accept if score >= t) maximizing accuracy on the given
-    pairs.
-
-    Accuracy is piecewise constant between adjacent distinct scores, so
-    the candidates are the plateau midpoints plus one point beyond each
-    extreme; the midpoint choice keeps a separating threshold centered
-    in its margin.  Ties resolve to the largest candidate.
-    """
-    distinct = np.unique(scores)
-    candidates = np.concatenate(
-        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
-    )
-    pos_sorted = np.sort(scores[labels > 0])
-    neg_sorted = np.sort(scores[labels <= 0])
-    n = len(scores)
-    tp = len(pos_sorted) - np.searchsorted(pos_sorted, candidates, side="left")
-    tn = np.searchsorted(neg_sorted, candidates, side="left")
-    acc = (tp + tn) / n
-    best = np.flatnonzero(acc == acc.max())[-1]
-    return float(candidates[best])
-
-
-def lfw_protocol(folds: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float, list[float]]:
-    """10-fold cross-validated verification accuracy.
-
-    folds: list of (scores, labels) per fold.  For each fold the accept
-    threshold is chosen to maximize accuracy on the other folds, then
-    applied to the held-out fold.  Returns (mean, std, per-fold list).
-    """
-    if len(folds) < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
-    accuracies = []
-    for held_out in range(len(folds)):
-        train_scores = np.concatenate([f[0] for k, f in enumerate(folds) if k != held_out])
-        train_labels = np.concatenate([f[1] for k, f in enumerate(folds) if k != held_out])
-        t = _best_threshold(np.asarray(train_scores, dtype=np.float64), np.asarray(train_labels))
-        scores, labels = folds[held_out]
-        scores = np.asarray(scores, dtype=np.float64)
-        labels = np.asarray(labels)
-        predictions = np.where(scores >= t, 1, -1)
-        accuracies.append(float((predictions == labels).mean()))
-    mean, std = aggregate_splits(accuracies)
-    return mean, std, accuracies
-
-
 def emit_curves(curve: RocCurve, cmc_result: CmcResult, roc_path, cmc_path) -> None:
     """Write plot-ready (far, tar) and (rank, accuracy) CSV tables, \\r\\n-terminated."""
     roc_rows = zip(curve.far.tolist(), curve.tar.tolist())
@@ -211,21 +156,3 @@ def evaluate_split(
     tars = {f: tar_at_far(curve, f) for f in fars}
     accuracies = {k: result.rank(min(k, len(result.accuracies))) for k in ranks}
     return tars, accuracies
-
-
-def read_pair_file(path) -> list[tuple[str, str, int]]:
-    """Pair list rows: id_a,id_b,label with label +-1."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected id_a,id_b,label")
-            if parts[2] not in ("1", "-1"):
-                raise ValueError(f"{path}:{line_no}: label must be 1 or -1, got {parts[2]!r}")
-            pairs.append((parts[0], parts[1], int(parts[2])))
-    return pairs
-

@@ -27,7 +27,6 @@ from faceverify.micronet.network import (
 from faceverify.micronet.training import (
     TrainConfig,
     TrainResult,
-    accuracy,
     augment_batch,
     learning_rate_at,
     train,
@@ -50,7 +49,6 @@ __all__ = [
     "extract_features",
     "TrainConfig",
     "TrainResult",
-    "accuracy",
     "augment_batch",
     "learning_rate_at",
     "train",

@@ -76,10 +76,6 @@ class Conv3x3(Layer):
         self.grad_bias = np.zeros_like(self.bias)
         self._xp = None
 
-    def initialize(self, rng: np.random.Generator, std: float) -> None:
-        self.weights = rng.normal(0.0, std, self.weights.shape).astype(self.dtype)
-        self.bias = np.zeros(self.out_channels, dtype=self.dtype)
-
     def _pad(self, x: np.ndarray) -> np.ndarray:
         n, h, w, c = x.shape
         xp = np.zeros((n, h + 2, w + 2, c), dtype=self.dtype)
@@ -133,14 +129,10 @@ class PReLU(Layer):
 
     def __init__(self, channels: int, dtype=np.float64):
         self.channels = channels
-        self.dtype = dtype
         self.slope = np.full(channels, 0.25, dtype=dtype)
         self.grad_slope = np.zeros_like(self.slope)
         self._x = None
         self._neg = None
-
-    def initialize(self, rng, std):  # slopes keep their fixed init
-        pass
 
     def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.channels:
@@ -320,16 +312,11 @@ class Dense(Layer):
     def __init__(self, in_features: int, out_features: int, dtype=np.float64):
         self.in_features = in_features
         self.out_features = out_features
-        self.dtype = dtype
         self.weights = np.zeros((in_features, out_features), dtype=dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
-
-    def initialize(self, rng, std):
-        self.weights = rng.normal(0.0, std, self.weights.shape).astype(self.dtype)
-        self.bias = np.zeros(self.out_features, dtype=self.dtype)
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.in_features:

@@ -134,10 +134,13 @@ class Network:
         self._feature_index = spec.feature_index()
 
     def initialize(self, rng: np.random.Generator, std: float = 0.01) -> None:
-        """Gaussian(0, std) weights, zero biases, default PReLU slopes."""
-        for layer in self.layers:
-            if hasattr(layer, "initialize"):
-                layer.initialize(rng, std)
+        """Gaussian(0, std) weights and zero biases, in place and in layer
+        order; PReLU slopes keep their fixed start."""
+        for _, name, value, _, _ in self.param_items():
+            if name == "weights":
+                value[...] = rng.normal(0.0, std, value.shape)
+            elif name == "bias":
+                value[...] = 0.0
 
     @property
     def feature_dim(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from faceverify.linalg import make_rng
 
-__all__ = ["TrainConfig", "TrainResult", "learning_rate_at", "augment_batch", "train", "accuracy"]
+__all__ = ["TrainConfig", "TrainResult", "learning_rate_at", "augment_batch", "train"]
 
 LR_HALVING_INTERVAL = 100_000  # iterations between halvings of the learning rate
 
@@ -45,30 +45,22 @@ def learning_rate_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.learning_rate * 0.5 ** (iteration // LR_HALVING_INTERVAL)
 
 
-def augment_batch(batch: np.ndarray, rng: np.random.Generator, cfg: TrainConfig, train: bool = True) -> np.ndarray:
-    """Per-sample horizontal flip (p=0.5) and random square crop.
-
-    The eval path center-crops and never flips, so the same config can
-    preprocess both phases.  Raises if the input is smaller than the
-    crop target.
-    """
+def augment_batch(batch: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.ndarray:
+    """Per-sample horizontal flip (p=0.5) and random square crop, for
+    training.  Raises if the input is smaller than the crop target."""
     out = batch
     if cfg.random_crop:
         n, h, w, _ = out.shape
         size = cfg.crop_size
         if h < size or w < size:
             raise ValueError(f"input {h}x{w} is smaller than crop size {size}")
-        if train:
-            oy = rng.integers(0, h - size + 1, size=n)
-            ox = rng.integers(0, w - size + 1, size=n)
-        else:
-            oy = np.full(n, (h - size) // 2)
-            ox = np.full(n, (w - size) // 2)
+        oy = rng.integers(0, h - size + 1, size=n)
+        ox = rng.integers(0, w - size + 1, size=n)
         cropped = np.empty((n, size, size, out.shape[3]))
         for i in range(n):
             cropped[i] = out[i, oy[i] : oy[i] + size, ox[i] : ox[i] + size, :]
         out = cropped
-    if cfg.hflip and train:
+    if cfg.hflip:
         flips = rng.random(out.shape[0]) < 0.5
         out = out.copy()
         out[flips] = out[flips, :, ::-1, :]
@@ -117,7 +109,7 @@ def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> Trai
         idx = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size
 
-        batch = augment_batch(images[idx], rng, cfg, train=True)
+        batch = augment_batch(images[idx], rng, cfg)
         loss = net.loss(batch, labels[idx], train=True, rng=rng)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged: loss={loss} at iteration {it}")
@@ -126,17 +118,3 @@ def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> Trai
         result.losses.append(loss)
         result.iterations = it + 1
     return result
-
-
-def accuracy(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig | None = None,
-             batch_size: int = 64) -> float:
-    """Top-1 accuracy in eval mode (center crop if cropping is on)."""
-    hits = 0
-    rng = make_rng(0)
-    for start in range(0, images.shape[0], batch_size):
-        batch = images[start : start + batch_size]
-        if cfg is not None:
-            batch = augment_batch(batch, rng, cfg, train=False)
-        probs = net.forward(batch, train=False)[-1]
-        hits += int((probs.argmax(axis=1) == labels[start : start + batch_size]).sum())
-    return hits / images.shape[0]

@@ -33,7 +33,7 @@ from faceverify.templates import (
     ManifestRow,
     build_templates,
     check_split_disjoint,
-    read_manifest,
+    read_labelled_features,
     score_templates,
     write_manifest,
     write_score_matrix,
@@ -145,13 +145,7 @@ def synthesize_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[np.ndarray, 
 
 def _load_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[np.ndarray, list[str], dict]:
     if cfg.features_path:
-        feats, media_ids = read_features(cfg.features_path)
-        rows = read_manifest(cfg.manifest_path)
-        subject_of = {r.media_path: r.subject_id for r in rows}
-        missing = [m for m in media_ids if m not in subject_of]
-        if missing:
-            raise ValueError(f"manifest lacks subjects for {len(missing)} media (first: {missing[0]!r})")
-        return feats, media_ids, subject_of
+        return read_labelled_features(cfg.features_path, cfg.manifest_path)
     return synthesize_dataset(cfg, out_dir)
 
 
@@ -268,7 +262,7 @@ def _parse_value(parser: configparser.ConfigParser, section: str, key: str):
 def load_config(path) -> PipelineConfig:
     """Read a config file; an unknown section or key, or a value its
     field cannot take, fails with an error that names the file."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     if parser.defaults():
@@ -288,7 +282,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def write_config(cfg: PipelineConfig, path) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         parser.add_section(section)
         for key in keys:

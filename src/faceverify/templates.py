@@ -16,13 +16,15 @@ import numpy as np
 
 from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel, cosine_matrix, similarity_matrix
-from faceverify.storage import write_file
+from faceverify.storage import read_features, write_file
 
 __all__ = [
     "SCORERS",
     "ManifestRow",
     "read_manifest",
     "write_manifest",
+    "read_labelled_features",
+    "template_subjects",
     "check_split_disjoint",
     "pool_template",
     "build_templates",
@@ -69,6 +71,29 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
     body = ([r.template_id, r.subject_id, r.media_path, r.role, r.split] for r in rows)
     csv.writer(buf).writerows([MANIFEST_HEADER, *body])
     write_file(path, [buf.getvalue().encode("utf-8")])
+
+
+def read_labelled_features(features_path, manifest_path) -> tuple[np.ndarray, list[str], dict[str, str]]:
+    """A feature file plus the subject of every media id in it, read
+    from a manifest's media_path,subject_id pairs; a media id the
+    manifest lacks fails naming both files."""
+    feats, media_ids = read_features(features_path)
+    subject_of = {r.media_path: r.subject_id for r in read_manifest(manifest_path)}
+    missing = [m for m in media_ids if m not in subject_of]
+    if missing:
+        raise ValueError(f"{manifest_path}: lacks media {missing[0]!r} named in {features_path}")
+    return feats, media_ids, subject_of
+
+
+def template_subjects(rows: list[ManifestRow]) -> dict[str, str]:
+    """Subject of each template, in manifest order; a template whose
+    rows name two subjects is rejected."""
+    subject_of: dict[str, str] = {}
+    for r in rows:
+        subject = subject_of.setdefault(r.template_id, r.subject_id)
+        if subject != r.subject_id:
+            raise ValueError(f"template {r.template_id} spans subjects {subject} and {r.subject_id}")
+    return subject_of
 
 
 def check_split_disjoint(rows: list[ManifestRow]) -> None:
@@ -122,25 +147,18 @@ def build_templates(
 
     features rows are matched to manifest media via media_ids.
     """
+    rows = [r for r in rows if role in (None, r.role) and split in (None, r.split)]
+    if not rows:
+        raise ValueError(f"no manifest rows with role {role!r} and split {split!r} (None: any)")
+    subject_of = template_subjects(rows)
     index = {m: i for i, m in enumerate(media_ids)}
-    subject_of: dict[str, str] = {}
     media_rows: dict[str, list[int]] = {}
     for r in rows:
-        if role is not None and r.role != role:
-            continue
-        if split is not None and r.split != split:
-            continue
         if r.media_path not in index:
             raise KeyError(f"no feature row for media {r.media_path!r}")
-        subject = subject_of.setdefault(r.template_id, r.subject_id)
-        if subject != r.subject_id:
-            raise ValueError(f"template {r.template_id} spans subjects {subject} and {r.subject_id}")
         media_rows.setdefault(r.template_id, []).append(index[r.media_path])
-    if not media_rows:
-        raise ValueError(f"no manifest rows with role {role!r} and split {split!r} (None: any)")
-    ids = list(media_rows)
-    pooled = np.stack([pool_template(features[media_rows[t]]) for t in ids])
-    return ids, [subject_of[t] for t in ids], pooled
+    pooled = np.stack([pool_template(features[media_rows[t]]) for t in subject_of])
+    return list(subject_of), list(subject_of.values()), pooled
 
 
 def score_templates(

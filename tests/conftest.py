@@ -35,14 +35,6 @@ def write_landmark_file(path, records):
             fh.write(f"{media},{coords}\n")
 
 
-def write_pair_file(path, pairs):
-    """Write (id_a, id_b, label) pairs in the format that
-    evaluation.read_pair_file parses: 'id_a,id_b,label' per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, y in pairs:
-            fh.write(f"{a},{b},{y}\n")
-
-
 def central_diff_gradient(f, x, eps=1e-5):
     """Central finite-difference gradient of scalar f w.r.t. array x,
     computed entry by entry (x is perturbed in place and restored)."""

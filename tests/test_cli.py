@@ -218,6 +218,28 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"evaluate: error: {flag}: {message}\n"
         assert not (tmp_path / "eval").exists()
 
+    def test_evaluate_and_pool_reject_a_template_spanning_subjects(self, synth_run, tmp_path, capsys):
+        split = synth_run / "split00"
+        manifest = tmp_path / "manifest.csv"
+        text = (split / "manifest.csv").read_text()
+        row = next(line for line in text.splitlines() if ",gallery," in line)
+        template, subject, media = row.split(",")[:3]
+        manifest.write_text(text + f"{template},zz,{media},gallery,0\n")
+        message = f"{manifest}: template {template} spans subjects {subject} and zz\n"
+        rc = main([
+            "evaluate", "--scores", str(split / "scores.csv"),
+            "--manifest", str(manifest), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "evaluate: error: " + message
+        assert not (tmp_path / "eval").exists()
+        rc = main([
+            "pool", "--features", str(synth_run / "features.jvfe"), "--manifest", str(manifest),
+            "--role", "gallery", "--out", str(tmp_path / "pooled.jvfe"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "pool: error: " + message
+
     def test_pool_names_manifest_and_missing_role(self, synth_run, tmp_path, capsys):
         manifest = synth_run / "split00" / "manifest.csv"
         rc = main([
@@ -352,6 +374,28 @@ class TestTrainExtractCommands:
         err = capsys.readouterr().err
         assert err == f"{command}: error: {img_dir / 'b.pgm'}: shape (10, 10, 1) differs from (8, 8, 1) of {img_dir / 'a.pgm'}\n"
 
+    @pytest.mark.parametrize("command", ["extract", "extract-list", "train-cnn"])
+    def test_no_images_names_the_directory_or_list(self, net8, tmp_path, capsys, command):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        (img_dir / "notes.txt").write_text("not an image\n")
+        listing = tmp_path / "list.txt"
+        listing.write_text("\n")
+        if command == "extract":
+            source = img_dir
+            argv = ["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(tmp_path / "f.jvfe")]
+        elif command == "extract-list":
+            source = listing
+            argv = ["extract", "--model", str(net8), "--images", str(img_dir), "--list", str(listing),
+                    "--out", str(tmp_path / "f.jvfe")]
+        else:
+            source = listing
+            argv = ["train-cnn", "--manifest", str(listing), "--images-root", str(img_dir),
+                    "--out", str(tmp_path / "net.jvnt")]
+        assert main(argv) == 1
+        command = command.split("-list")[0]
+        assert capsys.readouterr().err == f"{command}: error: {source}: no .pgm or .ppm images\n"
+
 
 def test_label_manifest_without_comma_names_line(tmp_path, capsys):
     manifest = tmp_path / "train.csv"
@@ -438,6 +482,47 @@ class TestReportCommand:
         for raw, value in (("off", False), ("0", False), ("no", False), ("on", True), ("yes", True), ("1", True)):
             (tmp_path / "b.ini").write_text(f"[metric]\nsymmetrize_b = {raw}\n")
             assert load_config(tmp_path / "b.ini").symmetrize_b is value
+
+    def test_percent_in_values_is_literal(self, tmp_path):
+        out = tmp_path / "run%x"
+        assert main(["report", "--out-dir", str(out), "--seed", "1", "--splits", "1"]) == 0
+        assert (out / "report.txt").exists()
+        resolved = load_config(out / "config.resolved.ini")
+        assert resolved == PipelineConfig(out_dir=str(out), seed=1, splits=1)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[pipeline]\nout_dir = r%(seed)s\nseed = 2\n")
+        assert load_config(cfg_path).out_dir == "r%(seed)s"
+
+    def test_prebuilt_features_reproduce_the_synthetic_run(self, tmp_path):
+        synth = tmp_path / "synth"
+        assert main(["report", "--out-dir", str(synth), "--seed", "3", "--splits", "2"]) == 0
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            f"[source]\nfeatures_path = {synth / 'features.jvfe'}\nmanifest_path = {synth / 'media.csv'}\n"
+        )
+        prebuilt = tmp_path / "prebuilt"
+        assert main(["report", "--config", str(cfg_path), "--out-dir", str(prebuilt),
+                     "--seed", "3", "--splits", "2"]) == 0
+        produced = sorted(
+            p.relative_to(prebuilt) for p in prebuilt.rglob("*")
+            if p.is_file() and p.name != "config.resolved.ini"
+        )
+        assert len(produced) == 19  # report.txt and nine files per split
+        for rel in produced:
+            assert (prebuilt / rel).read_bytes() == (synth / rel).read_bytes(), rel
+
+    def test_prebuilt_features_name_the_media_the_manifest_lacks(self, tmp_path, capsys):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--seed", "3"]) == 0
+        features, manifest = synth / "features.jvfe", tmp_path / "short.csv"
+        lines = (synth / "media.csv").read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:5]))  # header and the first four media
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[source]\nfeatures_path = {features}\nmanifest_path = {manifest}\n")
+        capsys.readouterr()
+        rc = main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"report: error: {manifest}: lacks media 's0000/m04' named in {features}\n"
 
     def test_bad_config_path_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

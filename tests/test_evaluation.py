@@ -4,14 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import write_pair_file
 from faceverify.evaluation import (
     aggregate_splits,
     cmc,
     emit_curves,
     evaluate_split,
-    lfw_protocol,
-    read_pair_file,
     roc,
     tar_at_far,
 )
@@ -219,56 +216,6 @@ class TestAggregate:
             aggregate_splits([])
 
 
-class TestLfwProtocol:
-    def _folds(self, scorer, rng, n_folds=10, per_fold=600):
-        folds = []
-        for _ in range(n_folds):
-            labels = np.array([1] * (per_fold // 2) + [-1] * (per_fold // 2))
-            scores = scorer(labels, rng)
-            folds.append((scores, labels))
-        return folds
-
-    def test_perfect_scorer(self):
-        rng = make_rng(8)
-        folds = self._folds(lambda y, r: np.where(y > 0, 1.0, 0.0) + r.random(len(y)) * 0.1, rng)
-        mean, std, _ = lfw_protocol(folds)
-        assert mean == 1.0
-        assert std == 0.0
-
-    def test_constant_scorer_is_chance(self):
-        rng = make_rng(9)
-        folds = self._folds(lambda y, r: np.zeros(len(y)), rng)
-        mean, _, _ = lfw_protocol(folds)
-        assert mean == pytest.approx(0.5)
-
-    def test_matches_threshold_grid_oracle(self):
-        # Gaussian class-conditional scores; compare the chosen-threshold
-        # accuracy against an exhaustive grid over candidate thresholds
-        rng = make_rng(10)
-        folds = self._folds(lambda y, r: r.normal(0, 1, len(y)) + np.where(y > 0, 1.0, 0.0), rng)
-        mean, std, accs = lfw_protocol(folds)
-        for held_out in range(10):
-            tr_scores = np.concatenate([folds[k][0] for k in range(10) if k != held_out])
-            tr_labels = np.concatenate([folds[k][1] for k in range(10) if k != held_out])
-            # exhaustive grid: every midpoint and beyond-extreme candidates
-            cands = np.sort(np.unique(tr_scores))
-            grid = np.concatenate(
-                [[cands[0] - 1], (cands[:-1] + cands[1:]) / 2, cands, [cands[-1] + 1]]
-            )
-            best = max(((tr_scores >= t) == (tr_labels > 0)).mean() for t in grid)
-            # the protocol's threshold must achieve the grid optimum on the
-            # training folds (within exact float equality)
-            from faceverify.evaluation import _best_threshold
-
-            t_star = _best_threshold(tr_scores, tr_labels)
-            achieved = ((tr_scores >= t_star) == (tr_labels > 0)).mean()
-            assert achieved == pytest.approx(best, abs=1e-12)
-
-    def test_needs_two_folds(self):
-        with pytest.raises(ValueError):
-            lfw_protocol([(np.array([1.0]), np.array([1]))])
-
-
 def read_table(path):
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -316,18 +263,3 @@ def test_evaluate_split(tmp_path):
     assert accuracies == {1: pytest.approx(2 / 3), 10: 1.0}
     assert read_table(tmp_path / "roc.csv")[1].shape == (len(curve.far), 2)
     assert read_table(tmp_path / "cmc.csv")[1].shape == (2, 2)
-
-
-@pytest.mark.parametrize("label", ["0", "2", "x", ""])
-def test_pair_file_rejects_bad_label(tmp_path, label):
-    path = tmp_path / "pairs.csv"
-    path.write_text(f"a,b,1\nc,d,{label}\n")
-    with pytest.raises(ValueError, match=r"pairs\.csv:2: label must be 1 or -1"):
-        read_pair_file(path)
-
-
-def test_pair_file_roundtrip(tmp_path):
-    pairs = [("a", "b", 1), ("c", "d", -1)]
-    path = tmp_path / "pairs.csv"
-    write_pair_file(path, pairs)
-    assert read_pair_file(path) == pairs

@@ -46,7 +46,7 @@ class TestConv3x3:
         # hand-unrolled 3x3 correlation with zero padding on a 4x4 input
         rng = make_rng(0)
         conv = Conv3x3(2, 3)
-        conv.initialize(rng, 0.5)
+        conv.weights[...] = rng.normal(0.0, 0.5, conv.weights.shape)
         x = rng.standard_normal((1, 4, 4, 2))
         out = conv.forward(x)
         xp = np.zeros((6, 6, 2))
@@ -64,7 +64,7 @@ class TestConv3x3:
     def test_gradients(self):
         rng = make_rng(1)
         conv = Conv3x3(4, 3)
-        conv.initialize(rng, 0.4)
+        conv.weights[...] = rng.normal(0.0, 0.4, conv.weights.shape)
         x = rng.standard_normal((2, 8, 8, 4))
         check_input_gradient(conv, x, rng)
         check_param_gradients(conv, x, rng)
@@ -205,7 +205,7 @@ class TestDense:
     def test_gradients(self):
         rng = make_rng(11)
         layer = Dense(6, 4)
-        layer.initialize(rng, 0.5)
+        layer.weights[...] = rng.normal(0.0, 0.5, layer.weights.shape)
         x = rng.standard_normal((3, 6))
         check_input_gradient(layer, x, rng)
         check_param_gradients(layer, x, rng)

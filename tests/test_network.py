@@ -123,6 +123,21 @@ class TestForward:
         assert len(acts) == len(net.layers)
 
 
+class TestInitialize:
+    def test_gaussian_weights_in_layer_order_zero_biases_slopes_kept(self):
+        net = build_face_net(num_classes=3, input_size=8, width_divisor=16, dtype=np.float32)
+        for _, _, value, _, _ in net.param_items():
+            value[...] = 7.0
+        net.initialize(make_rng(5), 0.2)
+        oracle = make_rng(5)
+        for _, name, value, _, _ in net.param_items():
+            assert value.dtype == np.float32
+            if name == "weights":
+                npt.assert_array_equal(value, oracle.normal(0.0, 0.2, value.shape).astype(np.float32))
+            else:  # biases restart at zero, PReLU slopes keep their value
+                npt.assert_array_equal(value, 0.0 if name == "bias" else 7.0)
+
+
 class TestWholeNetGradient:
     def test_loss_gradient_against_finite_differences(self):
         # spot-check end-to-end backprop through conv/prelu/lrn/pool/fc

@@ -47,7 +47,7 @@ class TestAugment:
     def test_crop_offsets_in_bounds(self):
         cfg = TrainConfig(random_crop=True, crop_size=100)
         batch = self._batch()
-        out = augment_batch(batch, make_rng(3), cfg, train=True)
+        out = augment_batch(batch, make_rng(3), cfg)
         assert out.shape == (6, 100, 100, 1)
         # every crop must be an exact sub-window of its source image
         for i in range(6):
@@ -62,12 +62,6 @@ class TestAugment:
                     break
             assert found
 
-    def test_eval_path_is_center_crop_no_flip(self):
-        cfg = TrainConfig(random_crop=True, crop_size=100, hflip=True)
-        batch = self._batch(2)
-        out = augment_batch(batch, make_rng(4), cfg, train=False)
-        npt.assert_array_equal(out, batch[:, 12:112, 12:112, :])
-
     def test_flip_is_involution(self):
         x = self._batch(1)
         npt.assert_array_equal(x[:, :, ::-1, :][:, :, ::-1, :], x)
@@ -75,8 +69,8 @@ class TestAugment:
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(random_crop=True, crop_size=100, hflip=True)
         batch = self._batch()
-        a = augment_batch(batch, make_rng(5), cfg, train=True)
-        b = augment_batch(batch, make_rng(5), cfg, train=True)
+        a = augment_batch(batch, make_rng(5), cfg)
+        b = augment_batch(batch, make_rng(5), cfg)
         npt.assert_array_equal(a, b)
 
     def test_too_small_input_rejected(self):
