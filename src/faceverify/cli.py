@@ -142,7 +142,7 @@ def cmd_pool(args) -> int:
     try:
         ids, _, pooled = templates.build_templates(rows, feats, media_ids, role=args.role, split=args.split)
     except ValueError as exc:
-        raise ValueError(f"{args.manifest}: {exc}") from exc
+        raise ValueError(f"{args.manifest} with {args.features}: {exc}") from exc
     storage.write_features(args.out, pooled, ids)
     print(f"pool: {len(ids)} templates -> {args.out}")
     return 0
@@ -181,16 +181,20 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _parse_list(flag: str, text: str, kind) -> list:
-    """A comma-separated flag value; a bad item fails naming the flag."""
+def _parse_list(flag: str, text: str, kind, check) -> tuple:
+    """A comma-separated flag value, read and range-checked; a bad item
+    fails naming the flag."""
     try:
-        return [kind(item) for item in text.split(",")]
+        values = ev.parse_list(text, kind)
+        check(values)
     except ValueError as exc:  # the message quotes the bad item
         raise ValueError(f"{flag}: {exc}") from None
+    return values
 
 
 def cmd_evaluate(args) -> int:
-    fars, ranks = _parse_list("--fars", args.fars, float), _parse_list("--ranks", args.ranks, int)
+    fars = _parse_list("--fars", args.fars, float, ev.check_fars)
+    ranks = _parse_list("--ranks", args.ranks, int, ev.check_ranks)
     scores, gallery_ids, probe_ids = templates.read_score_matrix(args.scores)
     rows = templates.read_manifest(args.manifest)
     try:

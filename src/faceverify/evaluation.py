@@ -26,6 +26,9 @@ from faceverify.storage import write_file
 __all__ = [
     "DEFAULT_FARS",
     "DEFAULT_RANKS",
+    "parse_list",
+    "check_fars",
+    "check_ranks",
     "RocCurve",
     "CmcResult",
     "roc",
@@ -40,6 +43,27 @@ __all__ = [
 # Operating points reported per split unless a run asks for others.
 DEFAULT_FARS = (1e-2, 1e-1)
 DEFAULT_RANKS = (1, 5, 10)
+
+
+def parse_list(text: str, kind) -> tuple:
+    """FARs (kind float) or ranks (kind int) from a flag's or a config's
+    comma-separated list, none from an empty text; an empty or
+    unreadable item fails, quoting it."""
+    return tuple(kind(item) for item in text.split(",")) if text else ()
+
+
+def check_fars(fars) -> None:
+    """Reject a FAR outside (0, 1]."""
+    for far in fars:
+        if not 0.0 < far <= 1.0:
+            raise ValueError(f"far must be in (0, 1], got {far}")
+
+
+def check_ranks(ranks) -> None:
+    """Reject a rank below 1."""
+    for k in ranks:
+        if k < 1:
+            raise ValueError(f"rank must be at least 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +81,7 @@ class CmcResult:
     accuracies: np.ndarray
 
     def rank(self, k: int) -> float:
+        check_ranks((k,))
         return float(self.accuracies[k - 1])
 
 
@@ -85,8 +110,7 @@ def roc(scores, labels) -> RocCurve:
 
 def tar_at_far(curve: RocCurve, far: float) -> float:
     """TAR at the largest operating point with FAR <= far (step convention)."""
-    if not 0.0 < far <= 1.0:
-        raise ValueError(f"far must be in (0, 1], got {far}")
+    check_fars((far,))
     eligible = curve.far <= far
     return float(curve.tar[eligible].max())
 

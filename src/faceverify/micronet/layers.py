@@ -221,24 +221,16 @@ class MaxPool2x2(Layer):
         self._idx = None
         self._x_shape = None
 
-    @staticmethod
-    def _windows(x: np.ndarray) -> np.ndarray:
+    def forward(self, x, train=False, rng=None):
         n, h, w, c = x.shape
         ho, wo = (h + 1) // 2, (w + 1) // 2
-        if h % 2 or w % 2:
+        if h % 2 or w % 2:  # an odd edge is padded with -inf
             xp = np.full((n, 2 * ho, 2 * wo, c), -np.inf, dtype=x.dtype)
             xp[:, :h, :w, :] = x
         else:
             xp = x
-        win = np.empty((n, ho, wo, 4, c), dtype=x.dtype)
-        win[:, :, :, 0, :] = xp[:, 0::2, 0::2, :]
-        win[:, :, :, 1, :] = xp[:, 0::2, 1::2, :]
-        win[:, :, :, 2, :] = xp[:, 1::2, 0::2, :]
-        win[:, :, :, 3, :] = xp[:, 1::2, 1::2, :]
-        return win
-
-    def forward(self, x, train=False, rng=None):
-        win = self._windows(x)
+        # (n, ho, wo, 4, c) windows, cells in (0,0), (0,1), (1,0), (1,1) order
+        win = xp.reshape(n, ho, 2, wo, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, 4, c)
         idx = win.argmax(axis=3)
         out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
         if train:
@@ -250,11 +242,7 @@ class MaxPool2x2(Layer):
         ho, wo = (h + 1) // 2, (w + 1) // 2
         dwin = np.zeros((n, ho, wo, 4, c), dtype=grad_out.dtype)
         np.put_along_axis(dwin, self._idx[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-        dxp = np.zeros((n, 2 * ho, 2 * wo, c), dtype=grad_out.dtype)
-        dxp[:, 0::2, 0::2, :] = dwin[:, :, :, 0, :]
-        dxp[:, 0::2, 1::2, :] = dwin[:, :, :, 1, :]
-        dxp[:, 1::2, 0::2, :] = dwin[:, :, :, 2, :]
-        dxp[:, 1::2, 1::2, :] = dwin[:, :, :, 3, :]
+        dxp = dwin.reshape(n, ho, wo, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * ho, 2 * wo, c)
         return dxp[:, :h, :w, :]
 
 
@@ -311,7 +299,6 @@ class Dense(Layer):
 
     def __init__(self, in_features: int, out_features: int, dtype=np.float64):
         self.in_features = in_features
-        self.out_features = out_features
         self.weights = np.zeros((in_features, out_features), dtype=dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
         self.grad_weights = np.zeros_like(self.weights)

@@ -13,7 +13,6 @@ second and fourth convolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,24 +50,19 @@ class LayerKind:
     cls: type
     fields: tuple  # LayerSpec fields, passed to cls in this (checkpoint) order
     takes_dtype: bool  # cls also takes the compute dtype (parametrized layers)
-    output_shape: Callable  # (input shape, LayerSpec) -> output shape
-
-
-def _same_shape(shape, spec):
-    return shape
 
 
 LAYER_KINDS = {
     k.cls.kind: k
     for k in (
-        LayerKind(Conv3x3, ("in_channels", "out_channels"), True, lambda s, spec: (s[0], s[1], spec.out_channels)),
-        LayerKind(PReLU, ("in_channels",), True, _same_shape),
-        LayerKind(CrossChannelNorm, ("size", "alpha", "beta", "k"), False, _same_shape),
-        LayerKind(MaxPool2x2, (), False, lambda s, spec: ((s[0] + 1) // 2, (s[1] + 1) // 2, s[2])),
-        LayerKind(GlobalAvgPool, (), False, lambda s, spec: (1, 1, s[2])),
-        LayerKind(Dropout, ("rate",), False, _same_shape),
-        LayerKind(Dense, ("in_channels", "out_channels"), True, lambda s, spec: (spec.out_channels,)),
-        LayerKind(SoftmaxXent, (), False, _same_shape),
+        LayerKind(Conv3x3, ("in_channels", "out_channels"), True),
+        LayerKind(PReLU, ("in_channels",), True),
+        LayerKind(CrossChannelNorm, ("size", "alpha", "beta", "k"), False),
+        LayerKind(MaxPool2x2, (), False),
+        LayerKind(GlobalAvgPool, (), False),
+        LayerKind(Dropout, ("rate",), False),
+        LayerKind(Dense, ("in_channels", "out_channels"), True),
+        LayerKind(SoftmaxXent, (), False),
     )
 }
 
@@ -106,16 +100,6 @@ class NetworkSpec:
     input_shape: tuple  # (h, w, c)
     num_classes: int
 
-    def output_shapes(self) -> list[tuple]:
-        """Per-layer output shape: (h, w, c) while spatial, (d,) after
-        the classifier.  Global pooling reports (1, 1, c)."""
-        shapes: list[tuple] = []
-        shape: tuple = self.input_shape
-        for spec in self.layers:
-            shape = LAYER_KINDS[spec.kind].output_shape(shape, spec)
-            shapes.append(shape)
-        return shapes
-
     def feature_index(self) -> int:
         for i, spec in enumerate(self.layers):
             if spec.kind == "avgpool_global":
@@ -133,7 +117,7 @@ class Network:
         self.input_mean = 0.0
         self._feature_index = spec.feature_index()
 
-    def initialize(self, rng: np.random.Generator, std: float = 0.01) -> None:
+    def initialize(self, rng: np.random.Generator, std: float) -> None:
         """Gaussian(0, std) weights and zero biases, in place and in layer
         order; PReLU slopes keep their fixed start."""
         for _, name, value, _, _ in self.param_items():
@@ -142,23 +126,19 @@ class Network:
             elif name == "bias":
                 value[...] = 0.0
 
-    @property
-    def feature_dim(self) -> int:
-        return self.spec.output_shapes()[self._feature_index][2]
-
-    def _check_input(self, x: np.ndarray) -> None:
+    def _walk(self, x: np.ndarray, train: bool = False, rng=None, stop: int | None = None):
+        """Check, cast and centre the input, then yield the activation of
+        each of layers[:stop] in turn."""
         if x.ndim != 4 or x.shape[1:] != self.spec.input_shape:
             raise ValueError(f"expected batch of shape (n, {self.spec.input_shape}), got {x.shape}")
+        out = np.asarray(x, dtype=self.dtype) - self.dtype(self.input_mean)
+        for layer in self.layers[:stop]:
+            out = layer.forward(out, train=train, rng=rng)
+            yield out
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> list[np.ndarray]:
         """Run all layers, returning one activation per layer."""
-        self._check_input(x)
-        acts = []
-        out = np.asarray(x, dtype=self.dtype) - self.dtype(self.input_mean)
-        for layer in self.layers:
-            out = layer.forward(out, train=train, rng=rng)
-            acts.append(out)
-        return acts
+        return list(self._walk(x, train, rng))
 
     def loss(self, x: np.ndarray, labels: np.ndarray, train: bool = True, rng=None) -> float:
         self.forward(x, train=train, rng=rng)
@@ -178,27 +158,14 @@ class Network:
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pooled descriptor (eval mode, dropout off), not yet normalized."""
-        self._check_input(x)
-        out = np.asarray(x, dtype=self.dtype) - self.dtype(self.input_mean)
-        for layer in self.layers[: self._feature_index + 1]:
-            out = layer.forward(out, train=False)
+        for out in self._walk(x, stop=self._feature_index + 1):
+            pass  # each activation is dropped once the next one exists
         return out
 
     def param_items(self):
         for layer in self.layers:
             for item in layer.param_items():
                 yield (layer, *item)
-
-    def weight_counts(self, include_biases: bool = False) -> list[tuple[str, int]]:
-        """Per-layer weight counts for parameterized layers, in order.
-        PReLU slopes are trainable but not counted as weights."""
-        counted = ("weights", "bias") if include_biases else ("weights",)
-        counts = []
-        for spec, layer in zip(self.spec.layers, self.layers):
-            c = sum(value.size for name, value, _, _ in layer.param_items() if name in counted)
-            if c:
-                counts.append((spec.name or spec.kind, c))
-        return counts
 
 
 def build_face_net(

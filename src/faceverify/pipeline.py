@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from faceverify.evaluation import DEFAULT_FARS, DEFAULT_RANKS, aggregate_splits, evaluate_split
+from faceverify import evaluation as ev
 from faceverify.linalg import derive_seed, make_rng
 from faceverify.metric import (
     MetricTrainConfig,
@@ -63,8 +63,8 @@ class PipelineConfig:
     synth_s_eps: float = 0.25
     # protocol
     train_fraction: float = 2.0 / 3.0
-    fars: tuple[float, ...] = DEFAULT_FARS
-    ranks: tuple[int, ...] = DEFAULT_RANKS
+    fars: tuple[float, ...] = ev.DEFAULT_FARS
+    ranks: tuple[int, ...] = ev.DEFAULT_RANKS
     # metric training: steps sized for the unit-margin objective on the
     # synthetic desk-scale sets (library defaults in MetricTrainConfig are
     # much smaller; these are the documented values used by the runs here)
@@ -91,6 +91,8 @@ class PipelineConfig:
             raise ValueError("need at least one split")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        ev.check_fars(self.fars)
+        ev.check_ranks(self.ranks)
         for p in (self.features_path, self.manifest_path):
             if p and not Path(p).exists():
                 raise FileNotFoundError(f"configured path does not exist: {p}")
@@ -115,7 +117,7 @@ class SplitReport:
             lines += ["", f"[{section}]", "split," + ",".join(label.format(k) for k in keys)]
             lines += [f"{s}," + ",".join(f"{table[k][s]:.6f}" for k in keys) for s in range(self.num_splits)]
             for stat, idx in (("mean", 0), ("std", 1)):
-                lines.append(stat + "," + ",".join(f"{aggregate_splits(table[k])[idx]:.6f}" for k in keys))
+                lines.append(stat + "," + ",".join(f"{ev.aggregate_splits(table[k])[idx]:.6f}" for k in keys))
         return "\n".join(lines) + "\n"
 
 
@@ -221,7 +223,7 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
         scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
         write_score_matrix(split_dir / "scores.csv", scores, g_ids, p_ids)
 
-        tars, accuracies = evaluate_split(
+        tars, accuracies = ev.evaluate_split(
             scores, g_subjects, p_subjects, cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv"
         )
         for f in cfg.fars:
@@ -254,14 +256,13 @@ def _parse_value(parser: configparser.ConfigParser, section: str, key: str):
         return parser.getboolean(section, key)
     raw = parser.get(section, key)
     if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return tuple(item(v) for v in raw.split(",") if v.strip())
+        return ev.parse_list(raw, typing.get_args(kind)[0])
     return kind(raw)
 
 
 def load_config(path) -> PipelineConfig:
-    """Read a config file; an unknown section or key, or a value its
-    field cannot take, fails with an error that names the file."""
+    """Read and validate a config file; an unknown section or key, or a
+    value its field cannot take, fails with an error naming the file."""
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -278,7 +279,12 @@ def load_config(path) -> PipelineConfig:
                 kwargs[key] = _parse_value(parser, section, key)
             except ValueError as exc:
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
-    return PipelineConfig(**kwargs)
+    cfg = PipelineConfig(**kwargs)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return cfg
 
 
 def write_config(cfg: PipelineConfig, path) -> None:

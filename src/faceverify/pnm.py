@@ -42,15 +42,20 @@ def read_pnm(path: str | os.PathLike) -> np.ndarray:
     if data[:2] not in (b"P5", b"P6"):
         raise ValueError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[:2] == b"P5" else 3
-    tokens, pos = _read_tokens(data, 3, 2)
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        tokens, pos = _read_tokens(data, 3, 2)
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if width < 0 or height < 0:
+        raise ValueError(f"{path}: negative image size {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (8-bit only)")
     pos += 1  # single whitespace byte after maxval
     need = width * height * channels
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    if raw.size != need:
+    if len(data) - pos < need:
         raise ValueError(f"{path}: truncated pixel data")
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     img = raw.astype(np.float64) / maxval
     if channels == 1:
         return img.reshape(height, width)

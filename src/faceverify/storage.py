@@ -69,6 +69,10 @@ def write_file(path, chunks) -> None:
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
+    """size bytes; a size past the end of the file fails before any read,
+    so a header that claims too much data allocates nothing."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{path}: truncated {what}")
     data = fh.read(size)
     if len(data) != size:
         raise ValueError(f"{path}: truncated {what}")

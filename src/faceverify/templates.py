@@ -155,7 +155,7 @@ def build_templates(
     media_rows: dict[str, list[int]] = {}
     for r in rows:
         if r.media_path not in index:
-            raise KeyError(f"no feature row for media {r.media_path!r}")
+            raise ValueError(f"no feature row for media {r.media_path!r}")
         media_rows.setdefault(r.template_id, []).append(index[r.media_path])
     pooled = np.stack([pool_template(features[media_rows[t]]) for t in subject_of])
     return list(subject_of), list(subject_of.values()), pooled

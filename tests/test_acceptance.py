@@ -60,8 +60,8 @@ STOCK_SHAPES = [
     ("pool4", (7, 7, 256)),
     ("conv51", (7, 7, 160)),
     ("conv52", (7, 7, 320)),
-    ("pool5", (1, 1, 320)),
-    ("dropout", (1, 1, 320)),
+    ("pool5", (320,)),
+    ("dropout", (320,)),
     ("fc6", (10548,)),
     ("cost", (10548,)),
 ]
@@ -85,11 +85,17 @@ STOCK_KCOUNTS = {
 def test_criterion_1_stock_architecture():
     t0 = time.perf_counter()
     net = build_face_net(num_classes=10548, in_channels=1)
-    shapes = dict(zip((s.name for s in net.spec.layers), net.spec.output_shapes()))
+    # per-sample shapes from one eval-mode pass of a zero batch
+    acts = net.forward(np.zeros((1, *net.spec.input_shape)))
+    shapes = {spec.name: a.shape[1:] for spec, a in zip(net.spec.layers, acts)}
     for name, expected in STOCK_SHAPES:
         assert shapes[name] == expected, f"{name}: {shapes[name]} != {expected}"
 
-    counts = dict(net.weight_counts(include_biases=False))
+    counts = {}
+    for spec, layer in zip(net.spec.layers, net.layers):
+        for name, value, _, _ in layer.param_items():
+            if name == "weights":
+                counts[spec.name] = value.size
     assert counts["conv52"] == 460_800  # worked example: 460800 -> 450K
     for name, k_expected in STOCK_KCOUNTS.items():
         k = counts[name] / 1024

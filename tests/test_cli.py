@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
 from faceverify.linalg import make_rng
 from faceverify.micronet import build_face_net, extract_features
-from faceverify.pipeline import PipelineConfig, load_config, write_config
+from faceverify.pipeline import PipelineConfig, load_config, run_pipeline, write_config
 from faceverify.storage import read_checkpoint, read_features, write_checkpoint
 from faceverify.templates import read_score_matrix
 
@@ -207,6 +208,9 @@ class TestStageCommands:
         ("--fars", "0.01,x", "could not convert string to float: 'x'"),
         ("--ranks", "1,5.5", "invalid literal for int() with base 10: '5.5'"),
         ("--ranks", "1,", "invalid literal for int() with base 10: ''"),
+        ("--ranks", "0,-1", "rank must be at least 1, got 0"),
+        ("--fars", "0.01,2", "far must be in (0, 1], got 2.0"),
+        ("--fars", "0", "far must be in (0, 1], got 0.0"),
     ])
     def test_evaluate_names_bad_flag_item(self, synth_run, tmp_path, capsys, flag, value, message):
         split = synth_run / "split00"
@@ -225,30 +229,47 @@ class TestStageCommands:
         row = next(line for line in text.splitlines() if ",gallery," in line)
         template, subject, media = row.split(",")[:3]
         manifest.write_text(text + f"{template},zz,{media},gallery,0\n")
-        message = f"{manifest}: template {template} spans subjects {subject} and zz\n"
+        conflict = f"template {template} spans subjects {subject} and zz\n"
         rc = main([
             "evaluate", "--scores", str(split / "scores.csv"),
             "--manifest", str(manifest), "--out-dir", str(tmp_path / "eval"),
         ])
         assert rc == 1
-        assert capsys.readouterr().err == "evaluate: error: " + message
+        assert capsys.readouterr().err == f"evaluate: error: {manifest}: {conflict}"
         assert not (tmp_path / "eval").exists()
+        features = synth_run / "features.jvfe"
         rc = main([
-            "pool", "--features", str(synth_run / "features.jvfe"), "--manifest", str(manifest),
+            "pool", "--features", str(features), "--manifest", str(manifest),
             "--role", "gallery", "--out", str(tmp_path / "pooled.jvfe"),
         ])
         assert rc == 1
-        assert capsys.readouterr().err == "pool: error: " + message
+        assert capsys.readouterr().err == f"pool: error: {manifest} with {features}: {conflict}"
 
     def test_pool_names_manifest_and_missing_role(self, synth_run, tmp_path, capsys):
         manifest = synth_run / "split00" / "manifest.csv"
+        features = synth_run / "features.jvfe"
         rc = main([
-            "pool", "--features", str(synth_run / "features.jvfe"), "--manifest", str(manifest),
+            "pool", "--features", str(features), "--manifest", str(manifest),
             "--role", "nosuch", "--out", str(tmp_path / "pooled.jvfe"),
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"pool: error: {manifest}: no manifest rows with role 'nosuch' and split None")
+        assert err.startswith(f"pool: error: {manifest} with {features}: no manifest rows with role 'nosuch'")
+
+    def test_pool_names_both_files_for_a_media_without_features(self, synth_run, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        features = synth_run / "features.jvfe"
+        text = (synth_run / "split00" / "manifest.csv").read_text()
+        manifest.write_text(text + "g_new,s9999,nosuch,gallery,0\n")
+        rc = main([
+            "pool", "--features", str(features), "--manifest", str(manifest),
+            "--role", "gallery", "--out", str(tmp_path / "pooled.jvfe"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"pool: error: {manifest} with {features}: no feature row for media 'nosuch'\n"
+        )
+        assert not (tmp_path / "pooled.jvfe").exists()
 
     def test_train_metric_names_manifest_and_missing_id(self, synth_run, tmp_path, capsys):
         features = synth_run / "features.jvfe"
@@ -461,8 +482,12 @@ class TestReportCommand:
             ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
             ("[metric]\nsymmetrize_b = maybe\n", "[metric] symmetrize_b: Not a boolean: maybe"),
             ("[pipeline]\nsplits = two\n", "[pipeline] splits: invalid literal for int()"),
+            ("[protocol]\nfars = 0.01,,0.1\n", "[protocol] fars: could not convert string to float: ''"),
+            ("[protocol]\nranks = 0\n", "rank must be at least 1, got 0"),
+            ("[protocol]\nfars = 2\n", "far must be in (0, 1], got 2.0"),
         ],
-        ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int"],
+        ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int",
+             "empty-far", "rank-0", "far-2"],
     )
     def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.ini"
@@ -470,6 +495,16 @@ class TestReportCommand:
         rc = main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"report: error: {cfg_path}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("fars", (0.01, 2.0), "far must be in (0, 1], got 2.0"),
+        ("ranks", (1, 0), "rank must be at least 1, got 0"),
+    ])
+    def test_pipeline_rejects_bad_operating_points_before_writing(self, tmp_path, field, value, message):
+        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), splits=1, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
 
     def test_config_resolved_reads_back_equal(self, tmp_path):
@@ -482,6 +517,12 @@ class TestReportCommand:
         for raw, value in (("off", False), ("0", False), ("no", False), ("on", True), ("yes", True), ("1", True)):
             (tmp_path / "b.ini").write_text(f"[metric]\nsymmetrize_b = {raw}\n")
             assert load_config(tmp_path / "b.ini").symmetrize_b is value
+
+    def test_config_with_no_fars_or_ranks_reads_back_equal(self, tmp_path):
+        cfg = PipelineConfig(fars=(), ranks=())
+        write_config(cfg, tmp_path / "cfg.ini")
+        assert "fars = \n" in (tmp_path / "cfg.ini").read_text()
+        assert load_config(tmp_path / "cfg.ini") == cfg
 
     def test_percent_in_values_is_literal(self, tmp_path):
         out = tmp_path / "run%x"

@@ -179,6 +179,12 @@ class TestCmc:
         assert result.rank(1) == 0.0
         assert result.rank(2) == 1.0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rank_below_one_rejected(self, k):
+        # accuracies[k - 1] would read from the end
+        result = cmc(np.eye(3), ["a", "b", "c"], ["a", "b", "c"])
+        with pytest.raises(ValueError, match=f"rank must be at least 1, got {k}"):
+            result.rank(k)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_scores_rejected(self, bad):

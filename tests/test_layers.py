@@ -160,6 +160,29 @@ class TestMaxPool:
         x = rng.standard_normal((2, 7, 7, 3))  # odd size exercises ceil mode
         check_input_gradient(layer, x, rng)
 
+    @pytest.mark.parametrize("h, w", [(4, 6), (5, 7), (1, 3), (6, 5)])
+    def test_matches_per_window_loop_with_ties(self, h, w):
+        # integer values make ties common; the finite-difference check
+        # never sees one, so this loop is the reference for the tie rule:
+        # all gradient goes to the first maximal cell in (0,0), (0,1),
+        # (1,0), (1,1) order, and cells past an odd edge are left out
+        rng = make_rng(12)
+        n, c = 2, 3
+        x = rng.integers(0, 3, (n, h, w, c)).astype(np.float64)
+        grad_out = rng.standard_normal((n, (h + 1) // 2, (w + 1) // 2, c))
+        expected = np.empty(grad_out.shape)
+        expected_dx = np.zeros(x.shape)
+        for b, i, j, ch in np.ndindex(grad_out.shape):
+            cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+            cells = [(y, z) for y, z in cells if y < h and z < w]
+            values = [x[b, y, z, ch] for y, z in cells]
+            first = int(np.argmax(values))
+            expected[b, i, j, ch] = values[first]
+            expected_dx[(b, *cells[first], ch)] = grad_out[b, i, j, ch]
+        layer = MaxPool2x2()
+        npt.assert_array_equal(layer.forward(x, train=True), expected)
+        npt.assert_array_equal(layer.backward(grad_out), expected_dx)
+
 
 class TestGlobalAvgPool:
     def test_mean(self):

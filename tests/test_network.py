@@ -5,7 +5,8 @@ import pytest
 from faceverify.linalg import make_rng
 from faceverify.micronet import build_face_net, extract_features
 
-# frozen reference architecture: (layer, output shape, weight count)
+# frozen reference architecture: per-sample output shape and weight count
+# of each layer; global pooling emits (n, c)
 STOCK_SHAPES = {
     "conv11": (100, 100, 32),
     "conv12": (100, 100, 64),
@@ -21,8 +22,8 @@ STOCK_SHAPES = {
     "pool4": (7, 7, 256),
     "conv51": (7, 7, 160),
     "conv52": (7, 7, 320),
-    "pool5": (1, 1, 320),
-    "dropout": (1, 1, 320),
+    "pool5": (320,),
+    "dropout": (320,),
     "fc6": (10548,),
     "cost": (10548,),
 }
@@ -42,45 +43,59 @@ STOCK_WEIGHTS = {
 }
 
 
+def output_shapes(net):
+    """Per-sample output shape of each named layer, from one eval-mode
+    forward pass of a zero batch."""
+    acts = net.forward(np.zeros((1, *net.spec.input_shape)))
+    return {spec.name: a.shape[1:] for spec, a in zip(net.spec.layers, acts)}
+
+
+def param_sizes(net, counted=("weights",)):
+    """Per-layer sum of the sizes of the counted parameters, for layers
+    that have any; PReLU slopes are trainable but never counted."""
+    sizes = {}
+    for spec, layer in zip(net.spec.layers, net.layers):
+        size = sum(value.size for name, value, _, _ in layer.param_items() if name in counted)
+        if size:
+            sizes[spec.name] = size
+    return sizes
+
+
 class TestStockArchitecture:
     def test_output_shapes(self):
-        net = build_face_net()
-        shapes = dict(zip((s.name for s in net.spec.layers), net.spec.output_shapes()))
+        shapes = output_shapes(build_face_net())
         for name, expected in STOCK_SHAPES.items():
             assert shapes[name] == expected, name
 
     def test_weight_counts(self):
-        net = build_face_net()
-        counts = dict(net.weight_counts())
+        counts = param_sizes(build_face_net())
         assert counts == STOCK_WEIGHTS
         assert sum(counts.values()) == 5126688
         assert sum(counts.values()) // 1024 == 5006
 
     def test_eleven_parameterized_layers(self):
-        net = build_face_net()
-        assert len(net.weight_counts()) == 11
+        assert len(param_sizes(build_face_net())) == 11
 
     def test_stock_feature_dim(self):
-        assert build_face_net().feature_dim == 320
+        assert build_face_net().features(np.zeros((1, 100, 100, 1))).shape == (1, 320)
 
     def test_with_biases_counts_more(self):
-        net = build_face_net()
-        with_b = dict(net.weight_counts(include_biases=True))
+        with_b = param_sizes(build_face_net(), counted=("weights", "bias"))
         assert with_b["conv11"] == 288 + 32
         assert with_b["fc6"] == 3375360 + 10548
 
     def test_rgb_variant(self):
         net = build_face_net(in_channels=3)
-        assert dict(net.weight_counts())["conv11"] == 3 * 3 * 3 * 32
+        assert param_sizes(net)["conv11"] == 3 * 3 * 3 * 32
         assert net.spec.input_shape == (100, 100, 3)
 
     def test_scaled_variant_shapes(self):
         net = build_face_net(num_classes=10, input_size=32, width_divisor=4)
-        shapes = dict(zip((s.name for s in net.spec.layers), net.spec.output_shapes()))
+        shapes = output_shapes(net)
         assert shapes["conv11"] == (32, 32, 8)
-        assert shapes["pool5"] == (1, 1, 80)
+        assert shapes["pool5"] == (80,)
         assert shapes["fc6"] == (10,)
-        assert net.feature_dim == 80
+        assert net.features(np.zeros((1, 32, 32, 1))).shape == (1, 80)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):

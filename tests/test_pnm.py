@@ -45,8 +45,23 @@ def test_rejects_other_formats(tmp_path):
 def test_rejects_truncated(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         read_pnm(path)
+    assert str(info.value) == f"{path}: truncated pixel data"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P6\n2 2\n255\n" + bytes(11), "truncated pixel data"),
+    (b"P5\n4 4", "truncated PNM header"),
+    (b"P5\n4 x\n255\n" + bytes(16), "invalid literal for int() with base 10: b'x'"),
+    (b"P5\n-4 4\n255\n" + bytes(16), "negative image size -4x4"),
+], ids=["short-color-pixels", "short-header", "bad-size", "negative-size"])
+def test_errors_name_the_file(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        read_pnm(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_write_clips_range(tmp_path):

@@ -190,6 +190,22 @@ class TestFeatures:
             read_features(path)
 
 
+@pytest.mark.parametrize("name, header, read, what", [
+    ("f.jvfe", b"JVFE" + struct.pack("<IQ", 2**31, 2**40), read_features, "feature data"),
+    ("f.jvfe", b"JVFE" + struct.pack("<IQ", 4, 2**40), read_features, "feature data"),
+    ("m.jvjb", b"JVJB" + struct.pack("<I", 2**31), read_metric_model, "model data"),
+    ("n.jvnt", b"JVNT" + struct.pack("<II", 1, 2**32 - 1), read_checkpoint, "spec"),
+], ids=["features-2^31-dim", "features-2^40-rows", "metric-2^31-dim", "checkpoint-4GiB-spec"])
+def test_header_claiming_more_than_the_file_holds(tmp_path, name, header, read, what):
+    # 2^40 rows would ask for terabytes: the claim is checked against
+    # the file's size before anything is read or allocated
+    path = tmp_path / name
+    path.write_bytes(header + bytes(64))
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: truncated {what}"
+
+
 class TestMetricModel:
     def test_roundtrip_exact(self, tmp_path):
         model = init_model(6, make_rng(5))

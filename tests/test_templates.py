@@ -175,7 +175,7 @@ class TestManifest:
 
     def test_build_templates_missing_media(self):
         rows = [ManifestRow("t1", "s1", "nope", "gallery", "0")]
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no feature row for media 'nope'"):
             build_templates(rows, np.zeros((1, 4)), ["m0"], role="gallery")
 
 
