@@ -181,6 +181,18 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _batch_size(text: str) -> int:
+    """A --batch-size value: a whole number of images, at least 1.
+    argparse prefixes the error with the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_list(flag: str, text: str, kind, check) -> tuple:
     """A comma-separated flag value, read and range-checked; a bad item
     fails naming the flag."""
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--width-divisor", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--batch-size", type=_batch_size, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--iters", type=int, default=TrainConfig.max_iters)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--list", default="")
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_batch_size, default=32)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("pool", help="pool media features into templates")

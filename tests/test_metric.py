@@ -22,16 +22,21 @@ from faceverify.metric import (
     similarity_matrix,
     train_metric,
 )
+from faceverify.metric import _distance, _MarginScreen
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Generator settings and epoch counts of the two train_metric runs pinned
-# in golden/train_metric.json: at d=32 about a fifth of the pair steps
+# Generator settings and epoch counts of the train_metric runs pinned in
+# golden/train_metric.json: at d=32 about a fifth of the pair steps
 # violate the margin in every epoch; at d=320 (the paper's feature size)
-# a third violate in the first epoch and 1-2% in each later one.
+# a third violate in the first epoch and 1-2% in each later one.  Both
+# stay on the plain path.  At d=64 some epochs follow one with at most
+# two violators, so train_metric screens them, and epoch 9 of those
+# still holds four violators.
 TRAIN_GOLDEN_SETS = {
     "d32": (dict(dim=32, num_subjects=300, samples_per_subject=3, within_cov=2.0, seed=11), 8),
     "d320": (dict(dim=320, num_subjects=30, samples_per_subject=5, within_cov=4.0, seed=11), 5),
+    "d64": (dict(dim=64, num_subjects=40, samples_per_subject=4, within_cov=1.0, seed=4), 12),
 }
 
 
@@ -365,6 +370,100 @@ class TestTrainMetric:
         m2, v2 = train_metric(feats, labels, cfg)
         npt.assert_array_equal(m1.M, m2.M)
         assert v1 == v2
+
+
+def plain_train_metric(features, labels, cfg):
+    """train_metric as a plain loop: PairSampler epochs, and hinge_step
+    on every pair."""
+    rng = make_rng(cfg.seed)
+    model = init_model(features.shape[1], rng)
+    sampler = PairSampler(labels, rng, cfg)
+    fractions = []
+    for _ in range(cfg.epochs):
+        batch = sampler.epoch()
+        violations = 0
+        for i, j, y in zip(batch.i.tolist(), batch.j.tolist(), batch.y.tolist()):
+            violations += hinge_step(model, features[i], features[j], y, cfg)
+        fractions.append(violations / len(batch.y))
+    return model, fractions
+
+
+# (generator settings, training settings) of sets whose screened epochs
+# hold violators, so the screen drops and rebuilds its cache mid-epoch
+SCREENED_SETS = [
+    *(
+        (dict(dim=64, num_subjects=40, samples_per_subject=4, within_cov=1.0, seed=s),
+         dict(gamma=20.0, gamma_b=2.0, epochs=12, seed=s, symmetrize_b=sym))
+        for sym, seeds in ((True, range(8)), (False, (1, 3, 4, 9)))
+        for s in seeds
+    ),
+    # zero rates: violators never move the model, but still drop the cache
+    (dict(dim=64, num_subjects=20, samples_per_subject=10, within_cov=0.2, seed=1),
+     dict(gamma=0.0, gamma_b=0.0, epochs=4, seed=1)),
+]
+
+
+class TestMarginScreen:
+    """train_metric screens an epoch after one with fewer than steps / n
+    violators; each screened decision must equal hinge_step's."""
+
+    @pytest.mark.parametrize(
+        "gen_kwargs, cfg_kwargs",
+        SCREENED_SETS,
+        ids=[f"seed{c['seed']}-{'symmetric' if c.get('symmetrize_b', True) else 'literal'}-gamma{c['gamma']:g}"
+             for _, c in SCREENED_SETS],
+    )
+    def test_matches_plain_loop_exactly(self, gen_kwargs, cfg_kwargs, monkeypatch):
+        feats, labels = generate_synthetic(SyntheticEmbeddingModel(**gen_kwargs))
+        cfg = MetricTrainConfig(**cfg_kwargs)
+        want_model, want = plain_train_metric(feats, labels, cfg)
+
+        calls = []
+
+        def counted_step(*args):
+            calls.append(1)
+            return hinge_step(*args)
+
+        monkeypatch.setattr("faceverify.metric.hinge_step", counted_step)
+        model, got = train_metric(feats, labels, cfg)
+        npt.assert_array_equal(model.M, want_model.M)
+        npt.assert_array_equal(model.B, want_model.B)
+        assert model.b == want_model.b
+        assert got == want
+
+        steps = len(PairSampler(labels, make_rng(0), cfg).pos_pairs) * 2
+        violations = [round(f * steps) for f in want]
+        screened = [e for e in range(1, cfg.epochs) if violations[e - 1] * len(labels) < steps]
+        assert any(violations[e] for e in screened)  # the cache was dropped mid-epoch
+        assert len(calls) < steps * cfg.epochs  # the screen skipped pairs
+
+    @pytest.mark.parametrize("symmetric_b", [True, False])
+    def test_never_skips_a_violator_on_the_margin(self, symmetric_b):
+        feats, labels = generate_synthetic(
+            SyntheticEmbeddingModel(dim=64, num_subjects=40, samples_per_subject=4, within_cov=1.0, seed=4)
+        )
+        rng = make_rng(80)
+        model = init_model(64, rng)
+        if not symmetric_b:
+            model.B += rng.standard_normal((64, 64))
+        cfg = MetricTrainConfig(gamma=20.0, gamma_b=2.0, symmetrize_b=symmetric_b)
+        batch = PairSampler(labels, rng, cfg).epoch()
+        screen = _MarginScreen(feats)
+        violators = 0
+        for k, (i, j, y) in enumerate(zip(batch.i[:400], batch.j[:400], batch.y[:400])):
+            # the scalar margin sits on the unit margin, give or take two ulps of b
+            b = int(y) + _distance(model, feats[i], feats[j])
+            model.b = b + (k % 5 - 2) * np.spacing(b)
+            screen.drop()
+            skipped = not screen.candidates(model, i[None], j[None], y[None])[0]
+            if hinge_step(model.copy(), feats[i], feats[j], int(y), cfg):
+                violators += 1
+                assert not skipped, (i, j, y)
+        assert 100 < violators < 300  # the pairs fall on both sides of the margin
+
+        model.b = np.nan
+        screen.drop()
+        assert screen.candidates(model, batch.i, batch.j, batch.y).all()
 
 
 class TestTrainMetricGolden:
