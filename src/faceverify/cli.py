@@ -175,7 +175,11 @@ def cmd_score(args) -> int:
         print("score: --model required for jointbayes", file=sys.stderr)
         return 2
     model = storage.read_metric_model(args.model) if args.model else None
-    scores = templates.score_templates(gallery, probe, args.scorer, model)
+    try:
+        scores = templates.score_templates(gallery, probe, args.scorer, model)
+    except ValueError as exc:
+        files = (args.gallery, args.probe, args.model) if args.scorer == "jointbayes" else (args.gallery, args.probe)
+        raise ValueError(f"{', '.join(files)}: {exc}") from exc
     templates.write_score_matrix(args.out, scores, gallery_ids, probe_ids)
     print(f"score: {scores.shape[0]}x{scores.shape[1]} matrix -> {args.out}")
     return 0
@@ -256,7 +260,6 @@ def cmd_synth(args) -> int:
         synth_s_eps=args.s_eps,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     feats, media_ids, _ = pl.synthesize_dataset(cfg, out_dir)
     print(f"synth: {feats.shape[0]} features of dim {feats.shape[1]} -> {out_dir}")
     return 0

@@ -20,12 +20,12 @@ similarity(y, x) at every step.  Set symmetrize_b=False for the literal
 rule.
 
 train_metric's margin decisions are exact: every pair step decides as
-the scalar hinge_step would, so the model is the same bit for bit.  An
-epoch after one with fewer violators than steps / n (n training rows)
-is screened.  With a_k = x_k^T M x_k and R = X (M + B) cached for the
-current model state, a pair's distance a_i + a_j - 2 R_i x_j costs
-O(d).  A pair is skipped only where its screened margin
-y (b - d) - 1 exceeds
+the scalar hinge_step would, so the model is the same bit for bit.  The
+first epoch runs plain; a later one is screened when the one before had
+fewer violators than steps / n (n training rows).  train_metric caches
+a_k = x_k^T M x_k, R = X (M + B), b and tol for the current model, so a
+pair's distance a_i + a_j - 2 R_i x_j costs O(d), and skips a pair of a
+screened epoch only where its screened margin y (b - d) - 1 exceeds
 
     tol = 4 gamma_{2d+8} (4 r^2 (|M|_F + |B|_F) + |b| + 1),
     gamma_k = k u / (1 - k u),  u = 2^-53,
@@ -33,7 +33,8 @@ y (b - d) - 1 exceeds
 with r the largest row norm.  That bounds the rounding error of both
 forms, in any summation order (Higham, Accuracy and Stability of
 Numerical Algorithms, section 3.1).  Every other pair, NaN included,
-goes to hinge_step, and each update drops the cache.
+goes to hinge_step.  Every update drops the cache; a screened epoch
+then screens its next 256 pairs against the updated model.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class MetricTrainConfig:
             raise ValueError("learning rates must be non-negative")
         if self.neg_to_pos_ratio < 1:
             raise ValueError("negative:positive ratio must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -243,67 +246,27 @@ class PairSampler:
         return PairBatch(i, j, y)
 
 
-class _MarginScreen:
-    """Skips the pairs of an epoch that provably satisfy the margin.
+def _screen_cache(features: np.ndarray, r2: float, model: JointBayesModel) -> tuple:
+    """(a, R, b, tol) for one model state, with a = rowwise(X M . X) and
+    R = X (M + B): a_i + a_j - 2 R_i . x_j is hinge_step's distance while
+    M is exactly symmetric, as init_model and every update keep it.  r2
+    is the largest squared row norm; tol is the module docstring's."""
+    xm = features @ model.M
+    a = np.einsum("nd,nd->n", xm, features)
+    r = np.matmul(features, model.M + model.B, out=xm)
+    k = 2 * model.dim + 8
+    gamma_k = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    scale = 4.0 * r2 * (np.linalg.norm(model.M) + np.linalg.norm(model.B)) + abs(model.b) + 1.0
+    return a, r, model.b, 4.0 * gamma_k * scale
 
-    For one model state it caches a = rowwise(X M . X) and R = X (M + B),
-    so a pair's distance a_i + a_j - 2 R_i . x_j costs O(d).  That equals
-    hinge_step's form whenever M is exactly symmetric, which init_model
-    and every update keep, under either B rule.  A pair is skipped only
-    where its screened margin clears the unit margin by more than tol,
-    a bound on the rounding error of both forms (see the module
-    docstring).  Epochs are screened at most _SCREEN_CHUNK pairs per pass.
-    """
 
-    def __init__(self, features: np.ndarray):
-        self._x = features
-        self._r2 = float(np.einsum("nd,nd->n", features, features).max())
-        self._cache: tuple[np.ndarray, np.ndarray, float, float] | None = None
-        self._batch: PairBatch | None = None
-        self._end = 0  # pairs of _batch before _end were screened against the cache
-        self._candidates = np.empty(0, dtype=np.int64)  # the ones among them to decide
-
-    def drop(self) -> None:
-        """Forget the cache and the screened pairs: the model has changed."""
-        self._cache = None
-        self._end = 0
-
-    def begin(self, batch: PairBatch) -> None:
-        """Start on a new epoch; the cache stays valid."""
-        self._batch = batch
-        self._end = 0
-
-    def candidates(self, model: JointBayesModel, i: np.ndarray, j: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """True for each pair hinge_step must decide: every pair that
-        cannot be certified to clear the margin, NaN included."""
-        if self._cache is None:
-            xm = self._x @ model.M
-            a = np.einsum("nd,nd->n", xm, self._x)
-            r = np.matmul(self._x, model.M + model.B, out=xm)
-            k = 2 * model.dim + 8
-            gamma_k = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-            scale = 4.0 * self._r2 * (np.linalg.norm(model.M) + np.linalg.norm(model.B)) + abs(model.b) + 1.0
-            self._cache = (a, r, model.b, 4.0 * gamma_k * scale)
-        a, r, b, tol = self._cache
-        dist = a[i] + a[j] - 2.0 * np.einsum("nd,nd->n", r[i], self._x[j])
-        return ~(y * (b - dist) - 1.0 > tol)
-
-    def next_candidate(self, k: int, model: JointBayesModel) -> int:
-        """The first pair at or after k that hinge_step must decide, or
-        the epoch length if none is left."""
-        batch = self._batch
-        steps = len(batch.y)
-        while k < steps:
-            if k >= self._end:
-                stop = min(k + _SCREEN_CHUNK, steps)
-                keep = self.candidates(model, batch.i[k:stop], batch.j[k:stop], batch.y[k:stop])
-                self._candidates = k + np.flatnonzero(keep)
-                self._end = stop
-            pos = np.searchsorted(self._candidates, k)
-            if pos < len(self._candidates):
-                return int(self._candidates[pos])
-            k = self._end
-        return steps
+def _undecided(cache: tuple, features: np.ndarray, i: np.ndarray, j: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """True for each pair hinge_step must decide: every pair whose
+    screened margin does not clear the unit margin by more than tol,
+    NaN included."""
+    a, r, b, tol = cache
+    dist = a[i] + a[j] - 2.0 * np.einsum("nd,nd->n", r[i], features[j])
+    return ~(y * (b - dist) - 1.0 > tol)
 
 
 def train_metric(
@@ -330,25 +293,34 @@ def train_metric(
     sampler = PairSampler(labels, rng, cfg)
 
     rows = list(features)
-    screen = _MarginScreen(features)
+    r2 = float(np.einsum("nd,nd->n", features, features).max())
+    cache = None  # _screen_cache of the current model, built on demand
     screened = False  # the first epoch runs plain
     violation_fractions: list[float] = []
     for _ in range(cfg.epochs):
         batch = sampler.epoch()
-        screen.begin(batch)
         pair_i, pair_j, pair_y = batch.i.tolist(), batch.j.tolist(), batch.y.tolist()
         steps = len(pair_y)
         violations = 0
         k = 0
         while k < steps:
             if screened:
-                k = screen.next_candidate(k, model)
-                if k == steps:
-                    break
-            if hinge_step(model, rows[pair_i[k]], rows[pair_j[k]], pair_y[k], cfg):
-                violations += 1
-                screen.drop()
-            k += 1
+                stop = min(k + _SCREEN_CHUNK, steps)
+                if cache is None:
+                    cache = _screen_cache(features, r2, model)
+                keep = _undecided(cache, features, batch.i[k:stop], batch.j[k:stop], batch.y[k:stop])
+                todo = (k + np.flatnonzero(keep)).tolist()
+            else:
+                stop = steps
+                todo = range(k, steps)
+            k = stop
+            for t in todo:
+                if hinge_step(model, rows[pair_i[t]], rows[pair_j[t]], pair_y[t], cfg):
+                    violations += 1
+                    cache = None
+                    if screened:  # screen the rest against the new model
+                        k = t + 1
+                        break
         violation_fractions.append(violations / steps)
         # in a screened epoch each violator costs one n x d x d rebuild
         screened = violations * len(rows) < steps
@@ -367,6 +339,11 @@ class SyntheticEmbeddingModel:
     between_cov: np.ndarray | float = 1.0
     within_cov: np.ndarray | float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dim", "num_subjects", "samples_per_subject"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def _factor(self, cov) -> np.ndarray:
         if np.isscalar(cov):

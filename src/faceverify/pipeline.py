@@ -98,6 +98,7 @@ class PipelineConfig:
                 raise FileNotFoundError(f"configured path does not exist: {p}")
         if bool(self.features_path) != bool(self.manifest_path):
             raise ValueError("features_path and manifest_path must be given together")
+        self.metric_config(self.seed)  # MetricTrainConfig checks its own fields
 
 
 @dataclass
@@ -132,6 +133,7 @@ def synthesize_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[np.ndarray, 
         seed=derive_seed(cfg.seed, _STREAMS["synth"]),
     )
     feats, labels = generate_synthetic(gen)
+    out_dir.mkdir(parents=True, exist_ok=True)
     media_ids = [f"s{lbl:04d}/m{k % cfg.synth_samples:02d}" for k, lbl in enumerate(labels)]
     write_features(out_dir / "features.jvfe", feats, media_ids)
     rows = [

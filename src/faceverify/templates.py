@@ -171,6 +171,11 @@ def score_templates(
     (templates x dim) feature matrices; a NaN or inf entry is rejected."""
     check_finite_rows(gallery, "gallery")
     check_finite_rows(probe, "probe")
+    dims = {"gallery": gallery.shape[1], "probe": probe.shape[1]}
+    if scorer == "jointbayes" and model is not None:
+        dims["model"] = model.dim
+    if len(set(dims.values())) > 1:
+        raise ValueError("dimensions differ: " + ", ".join(f"{what} {d}" for what, d in dims.items()))
     if scorer == "cosine":
         return cosine_matrix(gallery, probe)
     if scorer == "jointbayes":

@@ -10,9 +10,10 @@ from faceverify import pnm
 from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
 from faceverify.linalg import make_rng
+from faceverify.metric import init_model
 from faceverify.micronet import build_face_net, extract_features
 from faceverify.pipeline import PipelineConfig, load_config, run_pipeline, write_config
-from faceverify.storage import read_checkpoint, read_features, write_checkpoint
+from faceverify.storage import read_checkpoint, read_features, write_checkpoint, write_features, write_metric_model
 from faceverify.templates import read_score_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +115,16 @@ class TestSynthCommand:
                   "--dim", "6", "--seed", "9"])
             outs.append((out / "features.jvfe").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--subjects", "num_subjects", "0"), ("--samples", "samples_per_subject", "0"),
+        ("--dim", "dim", "0"), ("--dim", "dim", "-3"),
+    ])
+    def test_size_below_one_fails_before_writing(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), flag, value]) == 1
+        assert capsys.readouterr().err == f"synth: error: {field} must be >= 1, got {value}\n"
+        assert not out.exists()
 
 
 class TestStageCommands:
@@ -298,6 +309,37 @@ class TestStageCommands:
         model = read_metric_model(model_path)
         assert model.dim == 16
         npt.assert_allclose(model.M, model.M.T, atol=1e-12)
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_train_metric_epochs_below_one_fails_before_writing(self, synth_run, tmp_path, capsys, epochs):
+        out = tmp_path / "metric.jvjb"
+        rc = main([
+            "train-metric", "--features", str(synth_run / "features.jvfe"),
+            "--manifest", str(synth_run / "media.csv"), "--out", str(out), "--epochs", epochs,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"train-metric: error: epochs must be >= 1, got {epochs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scorer, probe_dim, model_dim, dims", [
+        ("cosine", 5, None, "gallery 8, probe 5"),
+        ("jointbayes", 8, 5, "gallery 8, probe 8, model 5"),
+    ], ids=["cosine", "jointbayes"])
+    def test_score_names_files_and_dims_that_differ(self, tmp_path, capsys, scorer, probe_dim, model_dim, dims):
+        rng = make_rng(6)
+        gallery, probe, model = tmp_path / "g.jvfe", tmp_path / "p.jvfe", tmp_path / "m.jvjb"
+        write_features(gallery, rng.standard_normal((3, 8)), ["g0", "g1", "g2"])
+        write_features(probe, rng.standard_normal((2, probe_dim)), ["p0", "p1"])
+        argv = ["score", "--gallery", str(gallery), "--probe", str(probe), "--scorer", scorer,
+                "--out", str(tmp_path / "scores.csv")]
+        files = f"{gallery}, {probe}"
+        if model_dim:
+            write_metric_model(model, init_model(model_dim, rng))
+            argv += ["--model", str(model)]
+            files += f", {model}"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"score: error: {files}: dimensions differ: {dims}\n"
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_jointbayes_score_requires_model(self, synth_run, tmp_path):
         run = synth_run
@@ -506,9 +548,10 @@ class TestReportCommand:
             ("[protocol]\nfars = 0.01,,0.1\n", "[protocol] fars: could not convert string to float: ''"),
             ("[protocol]\nranks = 0\n", "rank must be at least 1, got 0"),
             ("[protocol]\nfars = 2\n", "far must be in (0, 1], got 2.0"),
+            ("[metric]\nepochs = 0\n", "epochs must be >= 1, got 0"),
         ],
         ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int",
-             "empty-far", "rank-0", "far-2"],
+             "empty-far", "rank-0", "far-2", "epochs-0"],
     )
     def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.ini"

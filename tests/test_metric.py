@@ -22,7 +22,7 @@ from faceverify.metric import (
     similarity_matrix,
     train_metric,
 )
-from faceverify.metric import _distance, _MarginScreen
+from faceverify.metric import _distance, _screen_cache, _undecided
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -358,6 +358,11 @@ class TestTrainMetric:
             with pytest.raises(ValueError, match="features row 7 holds NaN or inf"):
                 train_metric(feats, labels, MetricTrainConfig(epochs=1, seed=65))
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ValueError, match=f"^epochs must be >= 1, got {epochs}$"):
+            MetricTrainConfig(epochs=epochs)
+
     @pytest.mark.parametrize("shape, n_labels", [((100,), 100), ((100, 8), 99)])
     def test_shape_checked(self, shape, n_labels):
         with pytest.raises(ValueError, match="one label per row"):
@@ -448,22 +453,20 @@ class TestMarginScreen:
             model.B += rng.standard_normal((64, 64))
         cfg = MetricTrainConfig(gamma=20.0, gamma_b=2.0, symmetrize_b=symmetric_b)
         batch = PairSampler(labels, rng, cfg).epoch()
-        screen = _MarginScreen(feats)
+        r2 = float(np.einsum("nd,nd->n", feats, feats).max())
         violators = 0
         for k, (i, j, y) in enumerate(zip(batch.i[:400], batch.j[:400], batch.y[:400])):
             # the scalar margin sits on the unit margin, give or take two ulps of b
             b = int(y) + _distance(model, feats[i], feats[j])
             model.b = b + (k % 5 - 2) * np.spacing(b)
-            screen.drop()
-            skipped = not screen.candidates(model, i[None], j[None], y[None])[0]
+            skipped = not _undecided(_screen_cache(feats, r2, model), feats, i[None], j[None], y[None])[0]
             if hinge_step(model.copy(), feats[i], feats[j], int(y), cfg):
                 violators += 1
                 assert not skipped, (i, j, y)
         assert 100 < violators < 300  # the pairs fall on both sides of the margin
 
         model.b = np.nan
-        screen.drop()
-        assert screen.candidates(model, batch.i, batch.j, batch.y).all()
+        assert _undecided(_screen_cache(feats, r2, model), feats, batch.i, batch.j, batch.y).all()
 
 
 class TestTrainMetricGolden:
@@ -551,6 +554,13 @@ class TestSyntheticGenerator:
         lam = (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * ks
         p = 2 * sum((-1) ** (k - 1) * np.exp(-2 * (lam * k) ** 2) for k in range(1, 101))
         assert p > 0.01
+
+    @pytest.mark.parametrize("field", ["dim", "num_subjects", "samples_per_subject"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_size_below_one_rejected(self, field, value):
+        sizes = {**dict(dim=5, num_subjects=3, samples_per_subject=2), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            SyntheticEmbeddingModel(**sizes)
 
     def test_deterministic(self):
         gen = SyntheticEmbeddingModel(dim=5, num_subjects=3, samples_per_subject=2, seed=72)

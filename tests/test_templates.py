@@ -87,6 +87,17 @@ class TestScoreTemplates:
         with pytest.raises(ValueError, match=f"{role} row 2 holds NaN or inf"):
             score_templates(feats["gallery"], feats["probe"], scorer=scorer, model=init_model(8, make_rng(9)))
 
+    @pytest.mark.parametrize("scorer, g, p, m, message", [
+        ("cosine", 8, 5, None, "dimensions differ: gallery 8, probe 5"),
+        ("jointbayes", 8, 5, 8, "dimensions differ: gallery 8, probe 5, model 8"),
+        ("jointbayes", 8, 8, 5, "dimensions differ: gallery 8, probe 8, model 5"),
+    ], ids=["cosine", "jointbayes-probe", "jointbayes-model"])
+    def test_dimension_mismatch_names_all_dims(self, scorer, g, p, m, message):
+        rng = make_rng(17)
+        model = None if m is None else init_model(m, rng)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            score_templates(make_pooled(rng, 3, g), make_pooled(rng, 4, p), scorer=scorer, model=model)
+
     def test_jointbayes_scores(self):
         gallery = make_pooled(make_rng(8), 3)
         model = init_model(8, make_rng(9))
