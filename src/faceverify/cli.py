@@ -242,7 +242,7 @@ def cmd_fuse(args) -> int:
     s1, g1, p1 = templates.read_score_matrix(args.a)
     s2, g2, p2 = templates.read_score_matrix(args.b)
     if g1 != g2 or p1 != p2:
-        print("fuse: template id mismatch between matrices", file=sys.stderr)
+        print(f"fuse: template id mismatch between {args.a} and {args.b}", file=sys.stderr)
         return 2
     templates.write_score_matrix(args.out, templates.fuse_scores(s1, s2), g1, p1)
     print(f"fuse: wrote {args.out}")

@@ -129,20 +129,15 @@ def cmc(sim_matrix, gallery_subjects, probe_subjects) -> CmcResult:
         raise ValueError(f"matrix shape {sim.shape} does not match subject list lengths")
     if not np.isfinite(sim).all():
         raise ValueError("CMC scores must be finite")
-    n_gallery = len(gallery_subjects)
-
-    ranks = []
-    for p, subject in enumerate(probe_subjects):
-        match_mask = gallery_subjects == subject
-        if not match_mask.any():
-            raise ValueError(f"probe subject {subject!r} absent from gallery (open set)")
-        col = sim[:, p]
-        best = col[match_mask].max()
-        ranks.append(1 + int((col[~match_mask] >= best).sum()))
-    if not ranks:
+    if len(probe_subjects) == 0:
         raise ValueError("no probes to rank")
-    ranks = np.asarray(ranks)
-    ks = np.arange(1, n_gallery + 1)
+    same = gallery_subjects[:, None] == probe_subjects[None, :]
+    absent = ~same.any(axis=0)
+    if absent.any():
+        raise ValueError(f"probe subject {probe_subjects[absent.argmax()]!r} absent from gallery (open set)")
+    best = np.where(same, sim, -np.inf).max(axis=0)
+    ranks = 1 + ((sim >= best) & ~same).sum(axis=0)
+    ks = np.arange(1, len(gallery_subjects) + 1)
     return CmcResult((ranks[None, :] <= ks[:, None]).mean(axis=1))
 
 

@@ -203,19 +203,18 @@ class PairSampler:
 
     def __init__(self, labels: np.ndarray, rng: np.random.Generator, cfg: MetricTrainConfig):
         labels = np.asarray(labels)
-        n = labels.shape[0]
         same = labels[:, None] == labels[None, :]
-        iu, ju = np.triu_indices(n, k=1)
-        pos_mask = same[iu, ju]
-        self.pos_pairs = np.stack([iu[pos_mask], ju[pos_mask]], axis=1)
-        if len(self.pos_pairs) == 0:
+        # flat indices i * n + j of the i < j pairs, in row-major order
+        pos = np.flatnonzero(np.triu(same, 1))
+        if len(pos) == 0:
             raise ValueError("no positive pair available: need a subject with >= 2 samples")
-        neg_pairs = np.stack([iu[~pos_mask], ju[~pos_mask]], axis=1)
-        if len(neg_pairs) == 0:
+        neg = np.flatnonzero(np.triu(~same, 1))
+        if len(neg) == 0:
             raise ValueError("no negative pair available: need >= 2 subjects")
-        cap = min(len(neg_pairs), cfg.neg_to_pos_ratio * len(self.pos_pairs))
-        pick = rng.choice(len(neg_pairs), size=cap, replace=False)
-        self.neg_pairs = neg_pairs[np.sort(pick)]
+        cap = min(len(neg), cfg.neg_to_pos_ratio * len(pos))
+        neg = neg[np.sort(rng.choice(len(neg), size=cap, replace=False))]
+        self.pos_pairs = np.stack(np.divmod(pos, len(labels)), axis=1)
+        self.neg_pairs = np.stack(np.divmod(neg, len(labels)), axis=1)
         self._rng = rng
         self._neg_queue = rng.permutation(len(self.neg_pairs))
         self._neg_cursor = 0
@@ -344,11 +343,12 @@ class SyntheticEmbeddingModel:
         for name in ("dim", "num_subjects", "samples_per_subject"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for cov in (self.between_cov, self.within_cov):
+            if np.isscalar(cov) and cov < 0:
+                raise ValueError(f"covariance scale must be >= 0, got {cov}")
 
     def _factor(self, cov) -> np.ndarray:
         if np.isscalar(cov):
-            if cov < 0:
-                raise ValueError(f"covariance scale must be >= 0, got {cov}")
             return np.sqrt(float(cov)) * np.eye(self.dim)
         cov = np.asarray(cov, dtype=np.float64)
         if cov.shape != (self.dim, self.dim):

@@ -84,6 +84,16 @@ class PipelineConfig:
             symmetrize_b=self.symmetrize_b,
         )
 
+    def synthetic_model(self) -> SyntheticEmbeddingModel:
+        return SyntheticEmbeddingModel(
+            dim=self.synth_dim,
+            num_subjects=self.synth_subjects,
+            samples_per_subject=self.synth_samples,
+            between_cov=self.synth_s_mu,
+            within_cov=self.synth_s_eps,
+            seed=derive_seed(self.seed, _STREAMS["synth"]),
+        )
+
     def validate(self) -> None:
         if self.scorer not in SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
@@ -98,7 +108,9 @@ class PipelineConfig:
                 raise FileNotFoundError(f"configured path does not exist: {p}")
         if bool(self.features_path) != bool(self.manifest_path):
             raise ValueError("features_path and manifest_path must be given together")
-        self.metric_config(self.seed)  # MetricTrainConfig checks its own fields
+        if not self.features_path:
+            self.synthetic_model()  # SyntheticEmbeddingModel checks its own fields
+        self.metric_config(self.seed)  # so does MetricTrainConfig
 
 
 @dataclass
@@ -124,15 +136,7 @@ class SplitReport:
 
 def synthesize_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[np.ndarray, list[str], dict]:
     """Generate synthetic features plus a one-medium-per-template manifest."""
-    gen = SyntheticEmbeddingModel(
-        dim=cfg.synth_dim,
-        num_subjects=cfg.synth_subjects,
-        samples_per_subject=cfg.synth_samples,
-        between_cov=cfg.synth_s_mu,
-        within_cov=cfg.synth_s_eps,
-        seed=derive_seed(cfg.seed, _STREAMS["synth"]),
-    )
-    feats, labels = generate_synthetic(gen)
+    feats, labels = generate_synthetic(cfg.synthetic_model())
     out_dir.mkdir(parents=True, exist_ok=True)
     media_ids = [f"s{lbl:04d}/m{k % cfg.synth_samples:02d}" for k, lbl in enumerate(labels)]
     write_features(out_dir / "features.jvfe", feats, media_ids)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,9 @@ def write_score_matrix(path, scores: np.ndarray, gallery_ids: list[str], probe_i
 
 
 def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
+    """(scores, gallery ids, probe ids) of a write_score_matrix file; a
+    short row or a score that is not a finite number fails naming
+    path:line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -220,8 +224,12 @@ def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
             if len(rec) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: {len(rec) - 1} scores for {len(probe_ids)} probes")
             try:
-                rows.append([float(v) for v in rec[1:]])
+                row = [float(v) for v in rec[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            bad = [v for v in row if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{path}:{reader.line_num}: score must be finite, got {bad[0]}")
+            rows.append(row)
             gallery_ids.append(rec[0])
     return np.array(rows, dtype=np.float64), gallery_ids, probe_ids

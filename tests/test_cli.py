@@ -181,6 +181,37 @@ class TestStageCommands:
         fused, _, _ = read_score_matrix(fused_path)
         npt.assert_allclose(fused, 2 * ours, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_fuse_and_evaluate_reject_a_non_finite_score(self, synth_run, tmp_path, capsys, bad):
+        split = synth_run / "split00"
+        lines = (split / "scores.csv").read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[3] = bad
+        lines[2] = ",".join(cells)
+        scores = tmp_path / "scores.csv"
+        scores.write_text("".join(lines))
+        message = f"{scores}:3: score must be finite, got {float(bad)}\n"
+        rc = main(["fuse", "--a", str(split / "scores.csv"), "--b", str(scores), "--out", str(tmp_path / "fused.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"fuse: error: {message}"
+        assert not (tmp_path / "fused.csv").exists()
+        rc = main([
+            "evaluate", "--scores", str(scores),
+            "--manifest", str(split / "manifest.csv"), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"evaluate: error: {message}"
+        assert not (tmp_path / "eval").exists()
+
+    def test_fuse_names_both_files_on_template_id_mismatch(self, synth_run, tmp_path, capsys):
+        a = synth_run / "split00" / "scores.csv"
+        b = tmp_path / "renamed.csv"
+        b.write_text(a.read_text().replace("gallery_id,", "gallery_id,renamed_", 1))
+        rc = main(["fuse", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "fused.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"fuse: template id mismatch between {a} and {b}\n"
+        assert not (tmp_path / "fused.csv").exists()
+
     def test_evaluate_matches_pipeline_split(self, synth_run, tmp_path):
         split = synth_run / "split00"
         out_dir = tmp_path / "eval"
@@ -549,9 +580,12 @@ class TestReportCommand:
             ("[protocol]\nranks = 0\n", "rank must be at least 1, got 0"),
             ("[protocol]\nfars = 2\n", "far must be in (0, 1], got 2.0"),
             ("[metric]\nepochs = 0\n", "epochs must be >= 1, got 0"),
+            ("[source]\nsynth_subjects = 0\n", "num_subjects must be >= 1, got 0"),
+            ("[source]\nsynth_dim = 0\n", "dim must be >= 1, got 0"),
+            ("[source]\nsynth_s_mu = -1\n", "covariance scale must be >= 0, got -1.0"),
         ],
         ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int",
-             "empty-far", "rank-0", "far-2", "epochs-0"],
+             "empty-far", "rank-0", "far-2", "epochs-0", "subjects-0", "dim-0", "s-mu-negative"],
     )
     def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.ini"

@@ -157,6 +157,14 @@ class TestCmc:
             result = cmc(sim, gallery_subjects, probe_subjects)
             expected = brute_force_cmc(sim, gallery_subjects, probe_subjects)
             npt.assert_allclose(result.accuracies, expected, atol=1e-15)
+        # subjects repeat in the gallery: a probe's best match is the
+        # highest of its subject's templates
+        gallery_subjects = [f"s{int(k)}" for k in rng.integers(0, 6, 24)]
+        probe_subjects = [gallery_subjects[int(k)] for k in rng.integers(0, 24, 60)]
+        assert max(gallery_subjects.count(s) for s in probe_subjects) > 1
+        sim = np.round(rng.standard_normal((24, 60)), 1)
+        result = cmc(sim, gallery_subjects, probe_subjects)
+        npt.assert_array_equal(result.accuracies, brute_force_cmc(sim, gallery_subjects, probe_subjects))
 
     def test_non_decreasing_and_closed_set_tops_out(self):
         rng = make_rng(5)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -243,7 +244,47 @@ class TestHingeStep:
                 )
 
 
+def brute_force_pairs(labels):
+    """Same- and different-subject (i, j) pairs, i < j, in row-major order."""
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = [(i, j) for i, j in pairs if labels[i] == labels[j]]
+    neg = [(i, j) for i, j in pairs if labels[i] != labels[j]]
+    return np.array(pos).reshape(-1, 2), np.array(neg).reshape(-1, 2)
+
+
+PAIR_LABELS = {
+    "grouped": np.repeat(np.arange(6), 3),
+    "shuffled": make_rng(57).permutation(np.repeat(np.arange(5), [1, 2, 3, 4, 5])),
+    "strings": np.array(["s07", "s02", "s07", "s11", "s02", "s11", "s07", "s30", "s02"]),
+}
+
+
 class TestPairSampler:
+    @pytest.mark.parametrize("name", sorted(PAIR_LABELS))
+    @pytest.mark.parametrize("ratio, capped", [(2, True), (1000, False)])
+    def test_pools_match_brute_force_enumeration(self, name, ratio, capped):
+        labels = PAIR_LABELS[name]
+        pos, neg = brute_force_pairs(labels.tolist())
+        cap = min(len(neg), ratio * len(pos))
+        assert (cap < len(neg)) == capped
+        sampler = PairSampler(labels, make_rng(56), MetricTrainConfig(neg_to_pos_ratio=ratio))
+        npt.assert_array_equal(sampler.pos_pairs, pos)
+        pick = np.sort(make_rng(56).choice(len(neg), cap, replace=False))
+        npt.assert_array_equal(sampler.neg_pairs, neg[pick])
+
+    def test_peak_memory_at_hard_benchmark_training_shape(self):
+        # 1280 subjects x 3 samples, the training set of the d=32 hard
+        # benchmark run: an (i, j) list of all 7.4M pairs peaked at 376 MB
+        labels = np.repeat(np.array([f"s{k:04d}" for k in range(1280)]), 3)
+        tracemalloc.start()
+        try:
+            PairSampler(labels, make_rng(58), MetricTrainConfig(neg_to_pos_ratio=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 125e6
+
     def test_pool_counts(self):
         labels = np.array([0, 0, 1, 1])
         cfg = MetricTrainConfig()
