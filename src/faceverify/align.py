@@ -198,6 +198,8 @@ def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
                 coords = np.array([float(v) for v in parts[1:]], dtype=np.float64).reshape(NUM_LANDMARKS, 2)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            if not np.isfinite(coords).all():
+                raise ValueError(f"{path}:{line_no}: a coordinate is NaN or inf")
             records.append((parts[0], LandmarkSet(coords)))
     return records
 

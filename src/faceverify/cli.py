@@ -32,9 +32,9 @@ def _image_list(directory: Path) -> list[Path]:
 
 def cmd_align(args) -> int:
     frame = al.CanonicalFrame()
+    landmarks = {media: lm for media, lm in al.read_landmark_file(args.landmarks)}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    landmarks = {media: lm for media, lm in al.read_landmark_file(args.landmarks)}
     failures: list[tuple[str, str]] = []
     written = 0
     for img_path in _image_list(Path(args.images)):

@@ -41,9 +41,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base class: parameter-free layers only override forward/backward."""
+    """Base class: parameter-free layers only override forward/backward.
+
+    `kind` names the layer in a checkpoint, and `fields` maps each of its
+    checkpoint fields to its type, in checkpoint order.  The constructor
+    takes exactly those fields (plus `dtype`, if it has parameters) and
+    keeps each as an attribute of the same name.
+    """
 
     kind = "layer"
+    fields: dict[str, type] = {}
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         raise NotImplementedError
@@ -65,6 +72,7 @@ class Conv3x3(Layer):
     """
 
     kind = "conv3x3"
+    fields = {"in_channels": int, "out_channels": int}
 
     def __init__(self, in_channels: int, out_channels: int, dtype=np.float64):
         self.in_channels = in_channels
@@ -126,17 +134,18 @@ class PReLU(Layer):
     all starting at 0.25."""
 
     kind = "prelu"
+    fields = {"in_channels": int}
 
-    def __init__(self, channels: int, dtype=np.float64):
-        self.channels = channels
-        self.slope = np.full(channels, 0.25, dtype=dtype)
+    def __init__(self, in_channels: int, dtype=np.float64):
+        self.in_channels = in_channels
+        self.slope = np.full(in_channels, 0.25, dtype=dtype)
         self.grad_slope = np.zeros_like(self.slope)
         self._x = None
         self._neg = None
 
     def forward(self, x, train=False, rng=None):
-        if x.shape[-1] != self.channels:
-            raise ValueError(f"prelu expects {self.channels} channels, got {x.shape}")
+        if x.shape[-1] != self.in_channels:
+            raise ValueError(f"prelu expects {self.in_channels} channels, got {x.shape}")
         # y = max(x, 0) + slope * min(x, 0), built without boolean masks
         neg_part = np.minimum(x, 0)
         out = np.maximum(x, 0)
@@ -151,7 +160,7 @@ class PReLU(Layer):
         x, neg = self._x, self._neg
         gx = grad_out * x
         gx *= neg
-        self.grad_slope = gx.reshape(-1, self.channels).sum(axis=0)
+        self.grad_slope = gx.reshape(-1, self.in_channels).sum(axis=0)
         coeff = np.where(neg, self.slope, np.asarray(1.0, dtype=grad_out.dtype))
         return grad_out * coeff
 
@@ -168,6 +177,7 @@ class CrossChannelNorm(Layer):
     """
 
     kind = "lrn"
+    fields = {"size": int, "alpha": float, "beta": float, "k": float}
 
     def __init__(self, size: int = 5, alpha: float = 1e-4, beta: float = 0.75, k: float = 1.0):
         if size % 2 != 1:
@@ -269,6 +279,7 @@ class Dropout(Layer):
     so the eval path is exactly the identity."""
 
     kind = "dropout"
+    fields = {"rate": float}
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -296,18 +307,20 @@ class Dense(Layer):
     """Fully connected layer on flattened inputs."""
 
     kind = "fully_connected"
+    fields = {"in_channels": int, "out_channels": int}
 
-    def __init__(self, in_features: int, out_features: int, dtype=np.float64):
-        self.in_features = in_features
-        self.weights = np.zeros((in_features, out_features), dtype=dtype)
-        self.bias = np.zeros(out_features, dtype=dtype)
+    def __init__(self, in_channels: int, out_channels: int, dtype=np.float64):
+        self.in_channels = in_channels
+        self.out_channels = out_channels
+        self.weights = np.zeros((in_channels, out_channels), dtype=dtype)
+        self.bias = np.zeros(out_channels, dtype=dtype)
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
         self._x = None
 
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(f"dense expects (n, {self.in_features}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.in_channels:
+            raise ValueError(f"dense expects (n, {self.in_channels}), got {x.shape}")
         self._x = x if train else None
         return x @ self.weights + self.bias
 

@@ -1,5 +1,5 @@
-"""Network assembly: layer specs, the stock face architecture, feature
-extraction.
+"""Network assembly: named layers and the spec derived from them, the
+stock face architecture, feature extraction.
 
 The stock net takes 100x100 gray (or RGB) crops through ten 3x3
 convolutions in five blocks (32/64, 64/128, 96/192, 128/256, 160/320
@@ -43,53 +43,20 @@ _STOCK_BLOCKS = [
 _NORM_AFTER = {1, 3}  # conv indices (0-based) followed by cross-channel norm
 
 
-@dataclass(frozen=True)
-class LayerKind:
-    """Everything the spec side knows about one layer kind."""
-
-    cls: type
-    fields: tuple  # LayerSpec fields, passed to cls in this (checkpoint) order
-    takes_dtype: bool  # cls also takes the compute dtype (parametrized layers)
-
-
 LAYER_KINDS = {
-    k.cls.kind: k
-    for k in (
-        LayerKind(Conv3x3, ("in_channels", "out_channels"), True),
-        LayerKind(PReLU, ("in_channels",), True),
-        LayerKind(CrossChannelNorm, ("size", "alpha", "beta", "k"), False),
-        LayerKind(MaxPool2x2, (), False),
-        LayerKind(GlobalAvgPool, (), False),
-        LayerKind(Dropout, ("rate",), False),
-        LayerKind(Dense, ("in_channels", "out_channels"), True),
-        LayerKind(SoftmaxXent, (), False),
-    )
+    cls.kind: cls
+    for cls in (Conv3x3, PReLU, CrossChannelNorm, MaxPool2x2, GlobalAvgPool, Dropout, Dense, SoftmaxXent)
 }
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer; LAYER_KINDS says which
-    fields its kind reads."""
+    """One layer as a checkpoint records it: its kind, its name and the
+    value of each field its class declares, in checkpoint order."""
 
     kind: str
-    in_channels: int = 0
-    out_channels: int = 0
-    rate: float = 0.0
-    size: int = 5
-    alpha: float = 1e-4
-    beta: float = 0.75
-    k: float = 1.0
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-
-    def build(self, dtype=np.float64) -> Layer:
-        kind = LAYER_KINDS[self.kind]
-        args = [getattr(self, f) for f in kind.fields]
-        return kind.cls(*args, dtype=dtype) if kind.takes_dtype else kind.cls(*args)
+    name: str
+    args: dict
 
 
 @dataclass(frozen=True)
@@ -100,22 +67,24 @@ class NetworkSpec:
     input_shape: tuple  # (h, w, c)
     num_classes: int
 
-    def feature_index(self) -> int:
-        for i, spec in enumerate(self.layers):
-            if spec.kind == "avgpool_global":
-                return i
-        raise ValueError("spec has no global-average-pool feature layer")
-
 
 class Network:
-    """A spec plus its instantiated layers and parameters."""
+    """Named layers in order, with the spec derived from them.  The
+    compute dtype is the parameters' (float64 when there are none), and
+    the global-average-pool layer gives the feature descriptor."""
 
-    def __init__(self, spec: NetworkSpec, dtype=np.float64):
-        self.spec = spec
-        self.dtype = np.dtype(dtype).type
-        self.layers: list[Layer] = [s.build(self.dtype) for s in spec.layers]
+    def __init__(self, named_layers, input_shape: tuple, num_classes: int):
+        self.layers: list[Layer] = [layer for _, layer in named_layers]
+        specs = (
+            LayerSpec(layer.kind, name, {f: getattr(layer, f) for f in layer.fields}) for name, layer in named_layers
+        )
+        self.spec = NetworkSpec(tuple(specs), tuple(input_shape), num_classes)
+        params = [value for _, _, value, _, _ in self.param_items()]
+        self.dtype = params[0].dtype.type if params else np.float64
         self.input_mean = 0.0
-        self._feature_index = spec.feature_index()
+        self._feature_index = next((i for i, layer in enumerate(self.layers) if isinstance(layer, GlobalAvgPool)), None)
+        if self._feature_index is None:
+            raise ValueError("network has no global-average-pool feature layer")
 
     def initialize(self, rng: np.random.Generator, std: float) -> None:
         """Gaussian(0, std) weights and zero biases, in place and in layer
@@ -141,7 +110,8 @@ class Network:
         return list(self._walk(x, train, rng))
 
     def loss(self, x: np.ndarray, labels: np.ndarray, train: bool = True, rng=None) -> float:
-        self.forward(x, train=train, rng=rng)
+        for _ in self._walk(x, train, rng):
+            pass  # the cost layer keeps the probabilities that loss() reads
         return self._cost_layer().loss(labels)
 
     def backward(self, labels: np.ndarray) -> None:
@@ -183,30 +153,27 @@ def build_face_net(
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    specs: list[LayerSpec] = []
+    layers: list[tuple[str, Layer]] = []
     prev = in_channels
     conv_idx = 0
     for block_num, block in enumerate(_STOCK_BLOCKS, start=1):
         for sub, channels in enumerate(block, start=1):
             out_ch = max(1, channels // width_divisor)
-            specs.append(
-                LayerSpec("conv3x3", in_channels=prev, out_channels=out_ch, name=f"conv{block_num}{sub}")
-            )
+            layers.append((f"conv{block_num}{sub}", Conv3x3(prev, out_ch, dtype=dtype)))
             is_last_conv = block_num == len(_STOCK_BLOCKS) and sub == len(block)
             if not is_last_conv:
-                specs.append(LayerSpec("prelu", in_channels=out_ch, name=f"prelu{block_num}{sub}"))
+                layers.append((f"prelu{block_num}{sub}", PReLU(out_ch, dtype=dtype)))
             if conv_idx in _NORM_AFTER:
-                specs.append(LayerSpec("lrn", name=f"norm{block_num}"))
+                layers.append((f"norm{block_num}", CrossChannelNorm()))
             prev = out_ch
             conv_idx += 1
         if block_num < len(_STOCK_BLOCKS):
-            specs.append(LayerSpec("maxpool2x2s2", name=f"pool{block_num}"))
-    specs.append(LayerSpec("avgpool_global", name="pool5"))
-    specs.append(LayerSpec("dropout", rate=dropout_rate, name="dropout"))
-    specs.append(LayerSpec("fully_connected", in_channels=prev, out_channels=num_classes, name="fc6"))
-    specs.append(LayerSpec("softmax_xent", name="cost"))
-    spec = NetworkSpec(tuple(specs), (input_size, input_size, in_channels), num_classes)
-    return Network(spec, dtype=dtype)
+            layers.append((f"pool{block_num}", MaxPool2x2()))
+    layers.append(("pool5", GlobalAvgPool()))
+    layers.append(("dropout", Dropout(dropout_rate)))
+    layers.append(("fc6", Dense(prev, num_classes, dtype=dtype)))
+    layers.append(("cost", SoftmaxXent()))
+    return Network(layers, (input_size, input_size, in_channels), num_classes)
 
 
 def extract_features(net: Network, images: np.ndarray, batch_size: int = 32) -> np.ndarray:

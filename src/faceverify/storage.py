@@ -21,15 +21,14 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-import typing
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel
-from faceverify.micronet.network import LAYER_KINDS, LayerSpec, Network, NetworkSpec
+from faceverify.micronet.layers import Layer
+from faceverify.micronet.network import LAYER_KINDS, Network
 
 __all__ = [
     "write_file",
@@ -45,8 +44,6 @@ CHECKPOINT_MAGIC = b"JVNT"
 CHECKPOINT_VERSION = 1
 FEATURE_MAGIC = b"JVFE"
 METRIC_MAGIC = b"JVJB"
-
-_FIELD_TYPES = typing.get_type_hints(LayerSpec)
 
 
 def write_file(path, chunks) -> None:
@@ -94,29 +91,30 @@ def _spec_to_text(net: Network) -> str:
         parts = [f"layer={spec.kind}"]
         if spec.name:
             parts.append(f"name={spec.name}")
-        for f in LAYER_KINDS[spec.kind].fields:
-            parts.append(f"{f}={getattr(spec, f)!r}")
+        parts += [f"{f}={value!r}" for f, value in spec.args.items()]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def _layer_from_text(line: str) -> LayerSpec:
+def _layer_from_text(line: str) -> tuple[str, Layer]:
     pairs = [part.split("=", 1) for part in line.split(" ")]
     fields = dict(pairs)
     if len(fields) != len(pairs):
         raise ValueError(f"repeated key in {line!r}")
-    spec = LayerSpec(fields.pop("layer"), name=fields.pop("name", ""))
-    expected = LAYER_KINDS[spec.kind].fields
-    if sorted(fields) != sorted(expected):
-        raise ValueError(f"layer {spec.kind} takes fields {', '.join(expected) or '(none)'}, got {line!r}")
-    return replace(spec, **{f: _FIELD_TYPES[f](raw) for f, raw in fields.items()})
+    kind, name = fields.pop("layer"), fields.pop("name", "")
+    cls = LAYER_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if sorted(fields) != sorted(cls.fields):
+        raise ValueError(f"layer {kind} takes fields {', '.join(cls.fields) or '(none)'}, got {line!r}")
+    return name, cls(**{f: cls.fields[f](raw) for f, raw in fields.items()})
 
 
-def _spec_from_text(text: str) -> tuple[NetworkSpec, float]:
+def _net_from_text(text: str) -> Network:
     input_shape = None
     num_classes = None
     input_mean = 0.0
-    layers: list[LayerSpec] = []
+    layers: list[tuple[str, Layer]] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -127,13 +125,17 @@ def _spec_from_text(text: str) -> tuple[NetworkSpec, float]:
             num_classes = int(line.split("=", 1)[1])
         elif line.startswith("input_mean="):
             input_mean = float(line.split("=", 1)[1])
+            if not np.isfinite(input_mean):
+                raise ValueError(f"input_mean {input_mean} is NaN or inf")
         elif line.startswith("layer="):
             layers.append(_layer_from_text(line))
         else:
             raise ValueError(f"unrecognized checkpoint spec line: {line!r}")
     if input_shape is None or num_classes is None or not layers:
         raise ValueError("incomplete checkpoint spec text")
-    return NetworkSpec(tuple(layers), input_shape, num_classes), input_mean
+    net = Network(layers, input_shape, num_classes)
+    net.input_mean = input_mean
+    return net
 
 
 def write_checkpoint(path, net: Network) -> None:
@@ -153,14 +155,15 @@ def read_checkpoint(path) -> Network:
         (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         spec_bytes = _read_exact(fh, spec_len, path, "spec")
         try:
-            spec, input_mean = _spec_from_text(spec_bytes.decode("utf-8"))
-            net = Network(spec)
-        except ValueError as exc:
+            net = _net_from_text(spec_bytes.decode("utf-8"))
+        except (ValueError, MemoryError) as exc:  # MemoryError: a layer too large to allocate
             raise ValueError(f"{path}: {exc}") from exc
-        net.input_mean = input_mean
-        for _, _, value, _, _ in net.param_items():
-            raw = _read_exact(fh, value.size * 8, path, "parameter data")
-            value[...] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
+        for spec, layer in zip(net.spec.layers, net.layers):
+            for name, value, _, _ in layer.param_items():
+                raw = _read_exact(fh, value.size * 8, path, "parameter data")
+                value[...] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{path}: {spec.name} {name} holds NaN or inf")
         _expect_end(fh, path, "parameters")
     return net
 
@@ -212,5 +215,7 @@ def read_metric_model(path) -> JointBayesModel:
         (d,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         values = np.frombuffer(_read_exact(fh, (2 * d * d + 1) * 8, path, "model data"), dtype="<f8")
         _expect_end(fh, path, "model data")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: model data holds NaN or inf")
     m, b_mat = values[: 2 * d * d].reshape(2, d, d).copy()
     return JointBayesModel(m, b_mat, float(values[-1]))

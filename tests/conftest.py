@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,17 @@ def write_landmark_file(path, records):
         for media, lm in records:
             coords = ",".join(f"{v:.6f}" for v in lm.points.ravel())
             fh.write(f"{media},{coords}\n")
+
+
+def replace_spec_text(path, old, new):
+    """Rewrite a checkpoint's text spec in place, with old replaced by new
+    (which must be there) and the spec length updated."""
+    data = Path(path).read_bytes()
+    (spec_len,) = struct.unpack_from("<I", data, 8)
+    text = data[12 : 12 + spec_len].decode("utf-8")
+    assert old in text
+    bad = text.replace(old, new).encode("utf-8")
+    Path(path).write_bytes(data[:8] + struct.pack("<I", len(bad)) + bad + data[12 + spec_len :])
 
 
 def central_diff_gradient(f, x, eps=1e-5):

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import write_landmark_file
+from conftest import replace_spec_text, write_landmark_file
 from faceverify import pnm
 from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
@@ -89,6 +89,18 @@ class TestAlignCommand:
         assert rc == 0
         assert not list(out_dir.glob("*.pgm"))
         assert "bad.pgm" in (out_dir / "align_failures.txt").read_text()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_landmark_names_line_before_writing(self, face_dir, tmp_path, capsys, bad):
+        img_dir, lm_path = face_dir
+        lines = lm_path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + bad
+        lm_path.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "aligned"
+        rc = main(["align", "--landmarks", str(lm_path), "--images", str(img_dir), "--out", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"align: error: {lm_path}:2: a coordinate is NaN or inf\n"
+        assert not out_dir.exists()
 
 
 class TestSynthCommand:
@@ -372,6 +384,21 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"score: error: {files}: dimensions differ: {dims}\n"
         assert not (tmp_path / "scores.csv").exists()
 
+    def test_score_rejects_a_non_finite_model_before_writing(self, tmp_path, capsys):
+        rng = make_rng(7)
+        gallery, probe, model_path = tmp_path / "g.jvfe", tmp_path / "p.jvfe", tmp_path / "m.jvjb"
+        write_features(gallery, rng.standard_normal((3, 4)), ["g0", "g1", "g2"])
+        write_features(probe, rng.standard_normal((2, 4)), ["p0", "p1"])
+        model = init_model(4, rng)
+        model.M[0, 0] = np.nan
+        write_metric_model(model_path, model)
+        out = tmp_path / "scores.csv"
+        rc = main(["score", "--gallery", str(gallery), "--probe", str(probe), "--scorer", "jointbayes",
+                   "--model", str(model_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"score: error: {model_path}: model data holds NaN or inf\n"
+        assert not out.exists()
+
     def test_jointbayes_score_requires_model(self, synth_run, tmp_path):
         run = synth_run
         split = run / "split00"
@@ -449,6 +476,27 @@ class TestTrainExtractCommands:
         path = tmp_path / "net8.jvnt"
         write_checkpoint(path, net)
         return path
+
+    @pytest.mark.parametrize("defect, message", [
+        ("nan-weight", "conv11 weights holds NaN or inf"),
+        ("oversized-layer", ""),  # numpy's MemoryError text follows the file name
+    ])
+    def test_extract_names_a_bad_checkpoint_before_writing(self, net8, tmp_path, capsys, defect, message):
+        if defect == "nan-weight":
+            net = read_checkpoint(net8)
+            net.layers[0].weights[0, 0, 0, 0] = np.nan
+            write_checkpoint(net8, net)
+        else:
+            replace_spec_text(net8, "name=conv11 in_channels=1 out_channels=2",
+                              "name=conv11 in_channels=3000000 out_channels=3000000")
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
+        out = tmp_path / "f.jvfe"
+        rc = main(["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"extract: error: {net8}: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("h, w", [(10, 8), (12, 10), (9, 12), (8, 8)])
     def test_extract_center_crops_each_axis(self, net8, tmp_path, h, w):

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from faceverify.linalg import make_rng
 from faceverify.micronet import build_face_net, extract_features
+from faceverify.micronet.network import LAYER_KINDS
 
 # frozen reference architecture: per-sample output shape and weight count
 # of each layer; global pooling emits (n, c)
@@ -100,6 +103,20 @@ class TestStockArchitecture:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             build_face_net(num_classes=1)
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+def test_layer_class_is_the_one_source_of_its_fields(kind):
+    """A class's `fields` are its constructor's parameters other than the
+    dtype, in order, and each is kept as an attribute of the same name."""
+    cls = LAYER_KINDS[kind]
+    assert cls.kind == kind
+    params = [p for p in inspect.signature(cls).parameters if p != "dtype"]
+    assert list(cls.fields) == params
+    sample = {int: 3, float: 0.5}  # valid for every field: LRN sizes are odd, dropout rates below 1
+    args = {f: sample[t] for f, t in cls.fields.items()}
+    layer = cls(**args)
+    assert {f: getattr(layer, f) for f in cls.fields} == args
 
 
 class TestForward:

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import replace_spec_text
 from faceverify.linalg import make_rng
 from faceverify.metric import init_model
 from faceverify.micronet import build_face_net
@@ -86,18 +87,26 @@ class TestCheckpoint:
             ("name=fc6 in_channels=80", "name=fc6 widths=80"),  # unknown key
             ("name=norm1 size=5 alpha=0.0001", "name=norm1 alpha=0.0001"),  # missing field
             ("layer=dropout", "layer=dropblock"),  # unknown kind
+            ("in_channels=1 out_channels=8", "in_channels=3000000 out_channels=3000000"),  # too large to allocate
+            ("input_mean=0.0", "input_mean=nan"),
+            ("input_mean=0.0", "input_mean=-inf"),
         ],
     )
     def test_bad_spec_line_names_file(self, tmp_path, old, new):
         net = build_face_net(**GOLDEN_NETS["toy"])
         path = tmp_path / "model.jvnt"
         write_checkpoint(path, net)
-        data = path.read_bytes()
-        text = spec_text(path)
-        assert old in text
-        bad = text.replace(old, new).encode("utf-8")
-        path.write_bytes(data[:8] + struct.pack("<I", len(bad)) + bad + data[12 + len(text.encode("utf-8")) :])
+        replace_spec_text(path, old, new)
         with pytest.raises(ValueError, match="model.jvnt"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_names_file_and_layer(self, tmp_path, value):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        net.layers[2].weights[1, 2, 0, 3] = value
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        with pytest.raises(ValueError, match="model.jvnt: conv12 weights holds NaN or inf"):
             read_checkpoint(path)
 
     def test_magic_enforced(self, tmp_path):
@@ -216,6 +225,18 @@ class TestMetricModel:
         npt.assert_array_equal(back.M, model.M)
         npt.assert_array_equal(back.B, model.B)
         assert back.b == model.b
+
+    @pytest.mark.parametrize("field", ["M", "B", "b"])
+    def test_non_finite_value_names_file(self, tmp_path, field):
+        model = init_model(3, make_rng(5))
+        if field == "b":
+            model.b = np.nan
+        else:
+            getattr(model, field)[2, 1] = np.inf
+        path = tmp_path / "m.jvjb"
+        write_metric_model(path, model)
+        with pytest.raises(ValueError, match="m.jvjb: model data holds NaN or inf"):
+            read_metric_model(path)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.jvjb"
