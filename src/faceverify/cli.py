@@ -130,7 +130,7 @@ def cmd_extract(args) -> int:
         raise ValueError(f"{root / media[0]}: {h}x{w} image is smaller than the {th}x{tw} net input")
     oy, ox = (h - th) // 2, (w - tw) // 2  # center-crop larger inputs
     images = images[:, oy : oy + th, ox : ox + tw, :]
-    feats = extract_features(net, images, batch_size=args.batch_size)
+    feats = extract_features(net, images)
     storage.write_features(args.out, feats, media)
     print(f"extract: {feats.shape[0]} features of dim {feats.shape[1]} -> {args.out}")
     return 0
@@ -304,7 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--list", default="")
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=_batch_size, default=32)
+    p.add_argument(
+        "--batch-size",
+        type=_batch_size,
+        default=32,
+        help="unused, kept so existing command lines run: extract walks the net one image at a time",
+    )
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("pool", help="pool media features into templates")

@@ -1,9 +1,11 @@
 """Network layers with explicit forward/backward passes.
 
-All activations are NHWC.  Layers cache whatever the backward pass
-needs on the instance, so training is a strictly sequential
-forward -> backward -> update cycle; a layer instance must not be
-shared between concurrent passes.
+All activations are NHWC.  A train-mode forward caches whatever the
+backward pass needs on the instance, so training is a strictly
+sequential forward -> backward -> update cycle; a layer instance must
+not be shared between concurrent passes.  An eval-mode forward caches
+nothing and drops the previous train-mode cache, so a backward after it
+raises instead of returning the gradient of an older batch.
 
 Compute dtype follows the parameter dtype chosen at construction
 (float64 by default; float32 roughly halves memory traffic for
@@ -33,11 +35,23 @@ __all__ = [
 ]
 
 
+# Output pixels per accumulation group of the conv forward (a band of rows
+# of one image, or whole small images): small enough to stay in cache.
+_GROUP_PIXELS = 4096
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted for numerical stability."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cached(value):
+    """A train-mode forward's cache, for backward to read."""
+    if value is None:
+        raise RuntimeError("backward requires a train-mode forward pass")
+    return value
 
 
 class Layer:
@@ -66,9 +80,15 @@ class Layer:
 class Conv3x3(Layer):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
-    Implemented as nine shift-and-GEMM accumulations against the padded
-    input, which keeps peak memory at one padded copy of the input
-    instead of a full im2col buffer.
+    The forward pass splits the output pixels into groups of about
+    _GROUP_PIXELS: bands of rows of one image, or whole images when one
+    image is smaller.  Each group starts from the bias and adds nine
+    shift-and-GEMM products against the padded input, in (di, dj) order,
+    into its own slice of the output.  No sum runs across groups, and
+    peak memory is one padded copy of the input plus one band instead of
+    a full im2col buffer.  A GEMM row's bytes can still depend on the
+    size of its call: OpenBLAS sums a row in another order in a call of
+    one row or of fewer than about 1e6 multiply-adds.
     """
 
     kind = "conv3x3"
@@ -96,27 +116,32 @@ class Conv3x3(Layer):
         n, h, w, _ = x.shape
         xp = self._pad(x)
         out = np.empty((n, h, w, self.out_channels), dtype=self.dtype)
-        out[:] = self.bias
-        flat = out.reshape(n * h * w, self.out_channels)
-        for di in range(3):
-            for dj in range(3):
-                patch = np.ascontiguousarray(xp[:, di : di + h, dj : dj + w, :])
-                flat += patch.reshape(n * h * w, self.in_channels) @ self.weights[di, dj]
+        if h * w >= _GROUP_PIXELS:
+            rows = max(1, _GROUP_PIXELS // w)
+            groups = [(i, i + 1, r, min(r + rows, h)) for i in range(n) for r in range(0, h, rows)]
+        else:
+            images = _GROUP_PIXELS // max(1, h * w)
+            groups = [(i, min(i + images, n), 0, h) for i in range(0, n, images)]
+        for i0, i1, r0, r1 in groups:
+            acc = out[i0:i1, r0:r1].reshape(-1, self.out_channels)  # a view: whole rows
+            acc[:] = self.bias
+            for di in range(3):
+                for dj in range(3):
+                    patch = np.ascontiguousarray(xp[i0:i1, r0 + di : r1 + di, dj : dj + w, :])
+                    acc += patch.reshape(-1, self.in_channels) @ self.weights[di, dj]
         self._xp = xp if train else None
-        self._x_shape = x.shape
         return out
 
     def backward(self, grad_out):
-        if self._xp is None:
-            raise RuntimeError("backward requires a train-mode forward pass")
-        n, h, w, _ = self._x_shape
+        xp = _cached(self._xp)
+        n, h, w = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
         g2 = np.ascontiguousarray(grad_out).reshape(n * h * w, self.out_channels)
         self.grad_bias = g2.sum(axis=0)
         self.grad_weights = np.empty_like(self.weights)
-        dxp = np.zeros_like(self._xp)
+        dxp = np.zeros_like(xp)
         for di in range(3):
             for dj in range(3):
-                patch = np.ascontiguousarray(self._xp[:, di : di + h, dj : dj + w, :])
+                patch = np.ascontiguousarray(xp[:, di : di + h, dj : dj + w, :])
                 self.grad_weights[di, dj] = patch.reshape(n * h * w, self.in_channels).T @ g2
                 dpatch = g2 @ self.weights[di, dj].T
                 dxp[:, di : di + h, dj : dj + w, :] += dpatch.reshape(n, h, w, self.in_channels)
@@ -151,13 +176,11 @@ class PReLU(Layer):
         out = np.maximum(x, 0)
         neg_part *= self.slope
         out += neg_part
-        if train:
-            self._x = x
-            self._neg = x < 0
+        self._x, self._neg = (x, x < 0) if train else (None, None)
         return out
 
     def backward(self, grad_out):
-        x, neg = self._x, self._neg
+        x, neg = _cached(self._x), self._neg
         gx = grad_out * x
         gx *= neg
         self.grad_slope = gx.reshape(-1, self.in_channels).sum(axis=0)
@@ -203,14 +226,17 @@ class CrossChannelNorm(Layer):
         denom = self._window_sum(x * x)
         denom *= self.alpha / self.size
         denom += self.k
-        scale = denom ** (-self.beta)
-        out = x * scale
-        if train:
-            self._x, self._denom, self._scale = x, denom, scale
-        return out
+        if not train:  # the same ops, in place
+            self._x = self._denom = self._scale = None
+            np.power(denom, -self.beta, out=denom)
+            denom *= x
+            return denom
+        scale = np.power(denom, -self.beta)
+        self._x, self._denom, self._scale = x, denom, scale
+        return x * scale
 
     def backward(self, grad_out):
-        x, denom, scale = self._x, self._denom, self._scale
+        x, denom, scale = _cached(self._x), self._denom, self._scale
         # d(out_c)/d(x_i) couples channels whose windows overlap; the
         # correction reuses the same symmetric window sum, and
         # denom^(-beta-1) is recovered as scale/denom to avoid a second pow.
@@ -239,16 +265,18 @@ class MaxPool2x2(Layer):
             xp[:, :h, :w, :] = x
         else:
             xp = x
-        # (n, ho, wo, 4, c) windows, cells in (0,0), (0,1), (1,0), (1,1) order
-        win = xp.reshape(n, ho, 2, wo, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, 4, c)
-        idx = win.argmax(axis=3)
-        out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        win = xp.reshape(n, ho, 2, wo, 2, c)
         if train:
-            self._idx, self._x_shape = idx, x.shape
-        return out
+            # (n, ho, wo, 4, c) cells in (0,0), (0,1), (1,0), (1,1) order;
+            # backward sends each gradient to the first maximal cell
+            cells = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, 4, c)
+            self._idx, self._x_shape = cells.argmax(axis=3), x.shape
+        else:
+            self._idx = self._x_shape = None
+        return win.max(axis=(2, 4))
 
     def backward(self, grad_out):
-        n, h, w, c = self._x_shape
+        n, h, w, c = _cached(self._x_shape)
         ho, wo = (h + 1) // 2, (w + 1) // 2
         dwin = np.zeros((n, ho, wo, 4, c), dtype=grad_out.dtype)
         np.put_along_axis(dwin, self._idx[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
@@ -265,12 +293,11 @@ class GlobalAvgPool(Layer):
         self._x_shape = None
 
     def forward(self, x, train=False, rng=None):
-        if train:
-            self._x_shape = x.shape
+        self._x_shape = x.shape if train else None
         return x.mean(axis=(1, 2))
 
     def backward(self, grad_out):
-        n, h, w, c = self._x_shape
+        n, h, w, c = _cached(self._x_shape)
         return np.broadcast_to(grad_out[:, None, None, :] / (h * w), (n, h, w, c)).copy()
 
 
@@ -325,7 +352,7 @@ class Dense(Layer):
         return x @ self.weights + self.bias
 
     def backward(self, grad_out):
-        self.grad_weights = self._x.T @ grad_out
+        self.grad_weights = _cached(self._x).T @ grad_out
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weights.T
 

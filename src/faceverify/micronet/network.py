@@ -95,11 +95,14 @@ class Network:
             elif name == "bias":
                 value[...] = 0.0
 
+    def _check_batch(self, x: np.ndarray) -> None:
+        if x.ndim != 4 or x.shape[1:] != self.spec.input_shape:
+            raise ValueError(f"expected batch of shape (n, {self.spec.input_shape}), got {x.shape}")
+
     def _walk(self, x: np.ndarray, train: bool = False, rng=None, stop: int | None = None):
         """Check, cast and centre the input, then yield the activation of
         each of layers[:stop] in turn."""
-        if x.ndim != 4 or x.shape[1:] != self.spec.input_shape:
-            raise ValueError(f"expected batch of shape (n, {self.spec.input_shape}), got {x.shape}")
+        self._check_batch(x)
         out = np.asarray(x, dtype=self.dtype) - self.dtype(self.input_mean)
         for layer in self.layers[:stop]:
             out = layer.forward(out, train=train, rng=rng)
@@ -127,7 +130,16 @@ class Network:
         return last
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Pooled descriptor (eval mode, dropout off), not yet normalized."""
+        """Pooled descriptor (eval mode, dropout off), not yet normalized.
+
+        Each image walks the layers alone, so peak memory is one image's
+        activations whatever the batch size, and a row depends only on its
+        image, never on the batch it came in."""
+        self._check_batch(x)
+        rows = [self._pooled(x[i : i + 1]) for i in range(x.shape[0])]
+        return np.concatenate(rows) if rows else self._pooled(x)
+
+    def _pooled(self, x: np.ndarray) -> np.ndarray:
         for out in self._walk(x, stop=self._feature_index + 1):
             pass  # each activation is dropped once the next one exists
         return out
@@ -177,8 +189,10 @@ def build_face_net(
 
 
 def extract_features(net: Network, images: np.ndarray, batch_size: int = 32) -> np.ndarray:
-    """Unit-norm pooled descriptors for a stack of aligned images."""
-    feats = []
-    for start in range(0, images.shape[0], batch_size):
-        feats.append(net.features(images[start : start + batch_size]))
-    return l2_normalize(np.concatenate(feats, axis=0))
+    """Unit-norm pooled descriptors for a stack of aligned images, (0, c)
+    for an empty stack.
+
+    `batch_size` is unused: `Network.features` walks one image at a time,
+    so no batch size bounds memory or changes a feature.  It stays for
+    callers that still pass it."""
+    return l2_normalize(net.features(images))

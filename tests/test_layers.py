@@ -73,6 +73,67 @@ class TestConv3x3:
         with pytest.raises(ValueError):
             Conv3x3(2, 3).forward(np.zeros((1, 4, 4, 5)))
 
+    # (n, h, w, c_in, c_out) like the stock and toy layers': whole-image
+    # groups with a partial last group (4x4, 7x7, 1x200, 13x13), bands of
+    # rows with a partial last band (100x100, 70x90, 50x100) and a row
+    # wider than a band
+    @pytest.mark.parametrize(
+        "n, h, w, c_in, c_out",
+        [
+            (128, 4, 4, 32, 64),
+            (100, 7, 7, 64, 40),
+            (45, 1, 200, 3, 5),
+            (30, 13, 13, 24, 48),
+            (9, 32, 32, 1, 8),
+            (2, 100, 100, 1, 32),
+            (1, 100, 100, 8, 16),
+            (2, 70, 90, 4, 6),
+            (2, 50, 100, 3, 4),
+            (1, 2, 5000, 2, 3),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_banded_forward_matches_whole_batch_nine_taps(self, n, h, w, c_in, c_out, dtype, train):
+        # the reference adds the nine taps over the whole batch at once; the
+        # layer splits the output pixels into groups and keeps every sum's
+        # order.  Here each group's GEMMs and the whole batch's take the
+        # same BLAS kernel (see the next test), so the bytes must agree.
+        rng = make_rng(14)
+        conv = Conv3x3(c_in, c_out, dtype=dtype)
+        conv.weights[...] = rng.normal(0.0, 0.3, conv.weights.shape)
+        conv.bias[...] = rng.normal(0.0, 0.3, conv.bias.shape)
+        x = rng.standard_normal((n, h, w, c_in)).astype(dtype)
+        xp = np.zeros((n, h + 2, w + 2, c_in), dtype=dtype)
+        xp[:, 1:-1, 1:-1, :] = x
+        expected = np.empty((n * h * w, c_out), dtype=dtype)
+        expected[:] = conv.bias
+        for di in range(3):
+            for dj in range(3):
+                patch = np.ascontiguousarray(xp[:, di : di + h, dj : dj + w, :]).reshape(-1, c_in)
+                expected += patch @ conv.weights[di, dj]
+        out = conv.forward(x, train=train)
+        assert out.shape == (n, h, w, c_out) and out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_small_last_group_agrees_to_rounding(self):
+        # 100 images of 7x7 form groups of 83 and 17.  The second group's
+        # 833 x 16 x 20 GEMMs fall under OpenBLAS's small-matrix cutoff
+        # (about 1e6 multiply-adds), whose kernel sums the 16 input channels
+        # in another order than the whole batch's 4900-row call: the rows
+        # agree to rounding, and the bytes depend on the BLAS build.
+        rng = make_rng(18)
+        conv = Conv3x3(16, 20)
+        conv.weights[...] = rng.normal(0.0, 0.3, conv.weights.shape)
+        x = rng.standard_normal((100, 7, 7, 16))
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        expected = sum(
+            np.ascontiguousarray(xp[:, di : di + 7, dj : dj + 7, :]).reshape(-1, 16) @ conv.weights[di, dj]
+            for di in range(3)
+            for dj in range(3)
+        )
+        npt.assert_allclose(conv.forward(x).reshape(-1, 20), expected, rtol=1e-12, atol=1e-13)
+
 
 class TestPReLU:
     def test_scalar_semantics(self):
@@ -131,6 +192,16 @@ class TestCrossChannelNorm:
         mid = 1.0 / (1.0 + 0.1 * 3)    # channels 1,2 see 3
         npt.assert_allclose(out[0, 0, 0], [edge, mid, mid, edge], rtol=1e-12)
 
+    @pytest.mark.parametrize("size, alpha, beta, k", [(5, 1e-4, 0.75, 1.0), (3, 0.3, 1.0, 2.0), (1, 0.2, 0.5, 1.0)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_matches_train_bytes(self, size, alpha, beta, k, dtype):
+        # the eval path runs the same ops in place
+        x = (make_rng(15).standard_normal((3, 5, 4, 9)) * 4).astype(dtype)
+        layer = CrossChannelNorm(size, alpha=alpha, beta=beta, k=k)
+        out = layer.forward(x, train=False)
+        assert out.dtype == dtype
+        assert out.tobytes() == layer.forward(x, train=True).tobytes()
+
     def test_gradients(self):
         rng = make_rng(5)
         layer = CrossChannelNorm(5, alpha=0.2, beta=0.75, k=1.0)
@@ -182,6 +253,23 @@ class TestMaxPool:
         layer = MaxPool2x2()
         npt.assert_array_equal(layer.forward(x, train=True), expected)
         npt.assert_array_equal(layer.backward(grad_out), expected_dx)
+
+    @pytest.mark.parametrize("h, w", [(5, 7), (1, 1), (4, 3)])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_nan_propagates_and_odd_edges_never_win(self, h, w, train):
+        # both modes take the output from one max over each window; a NaN
+        # cell makes its window NaN and the -inf padding past an odd edge
+        # never wins, even against -inf cells
+        rng = make_rng(16)
+        x = rng.standard_normal((2, h, w, 3))
+        x[rng.random(x.shape) < 0.2] = -np.inf
+        x[0, -1, -1, 0] = np.nan  # in the last window, cut short by an odd edge
+        expected = np.empty((2, (h + 1) // 2, (w + 1) // 2, 3))
+        for b, i, j, ch in np.ndindex(expected.shape):
+            expected[b, i, j, ch] = np.max(x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, ch])
+        out = MaxPool2x2().forward(x, train=train)
+        npt.assert_array_equal(out, expected)
+        assert np.isnan(out[0, -1, -1, 0])
 
 
 class TestGlobalAvgPool:
@@ -263,3 +351,34 @@ class TestSoftmaxXent:
         layer.forward(logits, train=True)
         assert layer.loss(labels) == pytest.approx(0.0, abs=1e-12)
         npt.assert_allclose(layer.backward_from_labels(labels), 0.0, atol=1e-12)
+
+
+def _cached_layers():
+    """(layer, input) for every layer whose backward reads a train-mode cache."""
+    rng = make_rng(17)
+    conv, dense = Conv3x3(2, 3), Dense(4, 3)
+    conv.weights[...] = rng.standard_normal(conv.weights.shape)
+    dense.weights[...] = rng.standard_normal(dense.weights.shape)
+    image = rng.standard_normal((2, 4, 4, 2))
+    return {
+        "conv": (conv, image),
+        "prelu": (PReLU(2), image),
+        "lrn": (CrossChannelNorm(3, alpha=0.5), image),
+        "maxpool": (MaxPool2x2(), image),
+        "avgpool": (GlobalAvgPool(), image),
+        "dense": (dense, rng.standard_normal((2, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cached_layers()))
+def test_backward_after_an_eval_forward_raises(name):
+    layer, x = _cached_layers()[name]
+    grad = np.ones(layer.forward(x).shape)
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(grad)  # fresh layer: nothing cached yet
+    layer.forward(x + 1.0, train=True)
+    layer.forward(x, train=False)  # drops the cache of the batch above
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(grad)
+    layer.forward(x, train=True)
+    assert layer.backward(grad).shape == x.shape

@@ -1,4 +1,6 @@
 import inspect
+import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -155,6 +157,49 @@ class TestForward:
         assert len(acts) == len(net.layers)
 
 
+class TestStreamingFeatures:
+    @pytest.mark.parametrize("input_size, width_divisor", [(100, 1), (32, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_rows_equal_each_image_alone(self, input_size, width_divisor, dtype):
+        net = build_face_net(num_classes=3, input_size=input_size, width_divisor=width_divisor, dtype=dtype)
+        net.initialize(make_rng(8), 0.05)
+        x = make_rng(9).random((3, input_size, input_size, 1))
+        feats = net.features(x)
+        assert feats.shape == (3, 320 // width_divisor) and feats.dtype == dtype
+        for i in range(3):
+            assert feats[i : i + 1].tobytes() == net.features(x[i : i + 1]).tobytes()
+        if dtype == np.float64:
+            # every GEMM of these shapes is large enough that BLAS sums
+            # each row alike in a batch and alone, so streaming changes
+            # no float64 feature of the whole-batch walk
+            pooled = net.forward(x)[[s.kind for s in net.spec.layers].index("avgpool_global")]
+            assert feats.tobytes() == pooled.tobytes()
+
+    def test_empty_batch(self):
+        net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
+        assert net.features(np.zeros((0, 16, 16, 1))).shape == (0, 40)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (), (2, 16, 15, 1)])
+    def test_wrong_shape_is_named_before_the_walk(self, shape):
+        net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            net.features(np.zeros(shape))
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        net = build_face_net(num_classes=3, input_size=100, width_divisor=8)
+        net.initialize(make_rng(10), 0.05)
+        x = make_rng(11).random((8, 100, 100, 1))
+        peaks = {}
+        for n in (1, 8):
+            tracemalloc.start()
+            try:
+                net.features(x[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 2 * peaks[1], peaks
+
+
 class TestInitialize:
     def test_gaussian_weights_in_layer_order_zero_biases_slopes_kept(self):
         net = build_face_net(num_classes=3, input_size=8, width_divisor=16, dtype=np.float32)
@@ -219,6 +264,11 @@ class TestExtractFeatures:
         img = make_rng(6).random((1, 16, 16, 1))
         feats = extract_features(net, np.concatenate([img, img]), batch_size=2)
         npt.assert_array_equal(feats[0], feats[1])
+
+    def test_empty_stack_gives_no_rows(self):
+        net = self._tiny_net()
+        feats = extract_features(net, np.zeros((0, 16, 16, 1)), batch_size=32)
+        assert feats.shape == (0, 40)
 
     def test_zero_feature_rejected(self):
         net = build_face_net(num_classes=5, input_size=16, width_divisor=8)  # zero weights
