@@ -185,8 +185,8 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _batch_size(text: str) -> int:
-    """A --batch-size value: a whole number of images, at least 1.
+def _at_least_one(text: str) -> int:
+    """A --batch-size or --iters value: a whole number, at least 1.
     argparse prefixes the error with the flag."""
     try:
         value = int(text)
@@ -289,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--width-divisor", type=int, default=1)
-    p.add_argument("--batch-size", type=_batch_size, default=TrainConfig.batch_size)
+    p.add_argument("--batch-size", type=_at_least_one, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--iters", type=int, default=TrainConfig.max_iters)
+    p.add_argument("--iters", type=_at_least_one, default=TrainConfig.max_iters)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--hflip", action="store_true")
     p.add_argument("--random-crop", action="store_true")
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument(
         "--batch-size",
-        type=_batch_size,
+        type=_at_least_one,
         default=32,
         help="unused, kept so existing command lines run: extract walks the net one image at a time",
     )

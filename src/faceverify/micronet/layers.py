@@ -39,6 +39,14 @@ __all__ = [
 # of one image, or whole small images): small enough to stay in cache.
 _GROUP_PIXELS = 4096
 
+# Elements per block of the LRN window sum: its two padded buffers stay
+# in cache.
+_WINDOW_BLOCK = 32768
+
+# OpenBLAS 0.3.31 sends a GEMM of at most about this many multiply-adds
+# (M*N*K) to a small-matrix kernel, which may sum a row in another order.
+_SMALL_GEMM = 1_000_000
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted for numerical stability."""
@@ -65,6 +73,9 @@ class Layer:
 
     kind = "layer"
     fields: dict[str, type] = {}
+    # Network clears this on its first layer, whose input gradient
+    # nothing reads; backward may then skip it and return None.
+    _input_grad = True
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         raise NotImplementedError
@@ -89,6 +100,10 @@ class Conv3x3(Layer):
     a full im2col buffer.  A GEMM row's bytes can still depend on the
     size of its call: OpenBLAS sums a row in another order in a call of
     one row or of fewer than about 1e6 multiply-adds.
+
+    Backward keeps each grad-weight GEMM whole, since it sums over every
+    pixel of the batch, and gathers the input gradient per group of
+    whole images (_dx_groups) from the zero-padded output gradient.
     """
 
     kind = "conv3x3"
@@ -135,17 +150,52 @@ class Conv3x3(Layer):
     def backward(self, grad_out):
         xp = _cached(self._xp)
         n, h, w = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
-        g2 = np.ascontiguousarray(grad_out).reshape(n * h * w, self.out_channels)
+        c_in, c_out = self.in_channels, self.out_channels
+        g2 = np.ascontiguousarray(grad_out).reshape(n * h * w, c_out)
         self.grad_bias = g2.sum(axis=0)
         self.grad_weights = np.empty_like(self.weights)
-        dxp = np.zeros_like(xp)
+        # these GEMMs sum over every pixel of the batch, so they stay whole
+        patch = np.empty((n, h, w, c_in), dtype=self.dtype)
         for di in range(3):
             for dj in range(3):
-                patch = np.ascontiguousarray(xp[:, di : di + h, dj : dj + w, :])
-                self.grad_weights[di, dj] = patch.reshape(n * h * w, self.in_channels).T @ g2
-                dpatch = g2 @ self.weights[di, dj].T
-                dxp[:, di : di + h, dj : dj + w, :] += dpatch.reshape(n, h, w, self.in_channels)
-        return dxp[:, 1:-1, 1:-1, :]
+                np.copyto(patch, xp[:, di : di + h, dj : dj + w, :])
+                self.grad_weights[di, dj] = patch.reshape(n * h * w, c_in).T @ g2
+        del patch  # before the dx buffers exist
+        if not self._input_grad:
+            return None
+        # dx gathered per group of whole images: each pixel adds its nine
+        # taps in (di, dj) order to a +0.0 start, as a scatter-add over the
+        # whole batch would.  A padding row adds a zero (weights are
+        # finite) to a sum that is never -0.0, which leaves it unchanged.
+        gp = self._pad(grad_out)
+        dx = np.empty((n, h, w, c_in), dtype=self.dtype)
+        groups = self._dx_groups(n, h * w)
+        most = max(i1 - i0 for i0, i1 in groups)
+        shifted = np.empty((most, h, w, c_out), dtype=self.dtype)
+        prod = np.empty((most * h * w, c_in), dtype=self.dtype)
+        for i0, i1 in groups:
+            acc = dx[i0:i1].reshape(-1, c_in)
+            acc[:] = 0
+            rows, part = shifted[: i1 - i0], prod[: len(acc)]
+            for di in range(3):
+                for dj in range(3):
+                    np.copyto(rows, gp[i0:i1, 2 - di : 2 - di + h, 2 - dj : 2 - dj + w, :])
+                    acc += np.matmul(rows.reshape(-1, c_out), self.weights[di, dj].T, out=part)
+        return dx
+
+    def _dx_groups(self, n: int, pixels: int) -> list[tuple[int, int]]:
+        """Image ranges for the dx GEMMs (pixels rows each image, c_out ->
+        c_in).  Each group's call stays on the same side of both OpenBLAS
+        switches as one whole-batch call: more than _SMALL_GEMM
+        multiply-adds and more than one row, or else the batch is one
+        group, as it is when c_in is 1 (a gemv, whose sums depend on the
+        call's rows)."""
+        macs = self.in_channels * self.out_channels
+        if self.in_channels == 1 or n * pixels * macs <= _SMALL_GEMM:
+            return [(0, n)]
+        rows = max(_GROUP_PIXELS, _SMALL_GEMM // macs + 1)
+        count = max(1, n // -(-rows // pixels))  # every group gets at least that many images
+        return [(n * g // count, n * (g + 1) // count) for g in range(count)]
 
     def param_items(self):
         return [
@@ -181,11 +231,17 @@ class PReLU(Layer):
 
     def backward(self, grad_out):
         x, neg = _cached(self._x), self._neg
+        m = neg.astype(grad_out.dtype)  # 1 where x < 0, else 0
         gx = grad_out * x
-        gx *= neg
+        gx *= m
         self.grad_slope = gx.reshape(-1, self.in_channels).sum(axis=0)
-        coeff = np.where(neg, self.slope, np.asarray(1.0, dtype=grad_out.dtype))
-        return grad_out * coeff
+        # coeff = m*slope - (m - 1): exactly slope or 1 for a finite slope,
+        # -0.0 included (s - 0.0 == s), built in the two buffers above
+        coeff, shift = m, np.subtract(m, 1, out=gx)
+        coeff *= self.slope
+        coeff -= shift
+        coeff *= grad_out
+        return coeff
 
     def param_items(self):
         return [("slope", self.slope, self.grad_slope, "none")]
@@ -214,13 +270,29 @@ class CrossChannelNorm(Layer):
         self._scale = None
 
     def _window_sum(self, v: np.ndarray) -> np.ndarray:
-        """Sliding sum over the channel axis, window clipped at the edges."""
+        """Sliding sum over the channel axis, window clipped at the edges:
+        channel j adds j+1, j-1, j+2, j-2, ... in that order.  Blocks of
+        rows are copied into a buffer whose rows are padded with -0.0
+        (x + -0.0 is x for every x, so a clipped term adds nothing), and
+        each offset is one add over the flat block."""
         half = (self.size - 1) // 2
-        out = v.copy()
-        for off in range(1, half + 1):
-            out[..., :-off] += v[..., off:]
-            out[..., off:] += v[..., :-off]
-        return out
+        c = v.shape[-1]
+        rows = v.reshape(-1, c)
+        out = np.empty_like(rows)
+        block = max(1, _WINDOW_BLOCK // (c + 2 * half))
+        padded = np.full((min(block, len(rows)), c + 2 * half), -0.0, dtype=v.dtype)
+        acc = np.empty_like(padded)
+        for r0 in range(0, len(rows), block):
+            r1 = min(r0 + block, len(rows))
+            pad, sums = padded[: r1 - r0], acc[: r1 - r0]
+            pad[:, half : half + c] = rows[r0:r1]
+            flat, total = pad.reshape(-1), sums.reshape(-1)
+            total[:] = flat
+            for off in range(1, half + 1):
+                total[:-off] += flat[off:]
+                total[off:] += flat[:-off]
+            out[r0:r1] = sums[:, half : half + c]
+        return out.reshape(v.shape)
 
     def forward(self, x, train=False, rng=None):
         denom = self._window_sum(x * x)
@@ -248,6 +320,23 @@ class CrossChannelNorm(Layer):
         return grad_out * scale - correction
 
 
+def _first_max_cell(win: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Index 0-3 of each window's first cell equal to its max `out`, in
+    (0,0), (0,1), (1,0), (1,1) order, or of its first NaN cell when the
+    window holds a NaN: the cell np.argmax would pick.  idx counts the
+    cells passed over before the first match."""
+    nan = bool(np.isnan(out).any())
+    idx = np.zeros(out.shape, dtype=np.uint8)
+    passed = np.ones(out.shape, dtype=bool)
+    for di, dj in ((0, 0), (0, 1), (1, 0)):
+        cell = win[:, :, di, :, dj, :]
+        passed &= cell != out  # true for every cell of a NaN window
+        if nan:
+            passed &= cell == cell
+        idx += passed
+    return idx
+
+
 class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2, ceil-mode output size ceil(n/2)."""
 
@@ -266,14 +355,12 @@ class MaxPool2x2(Layer):
         else:
             xp = x
         win = xp.reshape(n, ho, 2, wo, 2, c)
+        out = win.max(axis=(2, 4))
         if train:
-            # (n, ho, wo, 4, c) cells in (0,0), (0,1), (1,0), (1,1) order;
-            # backward sends each gradient to the first maximal cell
-            cells = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, 4, c)
-            self._idx, self._x_shape = cells.argmax(axis=3), x.shape
+            self._idx, self._x_shape = _first_max_cell(win, out), x.shape
         else:
             self._idx = self._x_shape = None
-        return win.max(axis=(2, 4))
+        return out
 
     def backward(self, grad_out):
         n, h, w, c = _cached(self._x_shape)

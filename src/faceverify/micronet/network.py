@@ -85,6 +85,7 @@ class Network:
         self._feature_index = next((i for i, layer in enumerate(self.layers) if isinstance(layer, GlobalAvgPool)), None)
         if self._feature_index is None:
             raise ValueError("network has no global-average-pool feature layer")
+        self.layers[0]._input_grad = False  # nothing reads the input's gradient
 
     def initialize(self, rng: np.random.Generator, std: float) -> None:
         """Gaussian(0, std) weights and zero biases, in place and in layer
@@ -118,7 +119,9 @@ class Network:
         return self._cost_layer().loss(labels)
 
     def backward(self, labels: np.ndarray) -> None:
-        """Fill every layer's parameter gradients after a train forward."""
+        """Fill every layer's parameter gradients after a train forward.
+        Every layer's backward runs; the first layer's returns no input
+        gradient."""
         grad = self._cost_layer().backward_from_labels(labels)
         for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad)

@@ -468,6 +468,22 @@ class TestTrainExtractCommands:
         assert capsys.readouterr().err.endswith(f"{command}: error: argument --batch-size: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_iters_below_one_names_the_flag(self, tmp_path, capsys, value):
+        # a run of no iterations would write an untrained checkpoint
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("a.pgm,c0\na.pgm,c1\n")
+        out = tmp_path / "out.jvnt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out),
+                  "--width-divisor", "16", "--iters", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"train-cnn: error: argument --iters: must be at least 1, got {value}\n")
+        assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
+
     @pytest.fixture
     def net8(self, tmp_path):
         """A checkpoint of a net that takes 8x8 gray inputs."""

@@ -1,5 +1,7 @@
 """Finite-difference oracles for every layer's backward pass."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -41,6 +43,42 @@ def check_param_gradients(layer, x, rng):
         assert max_relative_error(analytic, numeric) < TOL, f"param {name}"
 
 
+# (n, h, w, c_in, c_out) like the stock and toy layers': whole-image groups
+# with a partial last group (4x4, 7x7, 1x200, 13x13), bands of rows with a
+# partial last band (100x100, 70x90, 50x100) and a row wider than a band
+CONV_SHAPES = [
+    (128, 4, 4, 32, 64),
+    (100, 7, 7, 64, 40),
+    (45, 1, 200, 3, 5),
+    (30, 13, 13, 24, 48),
+    (9, 32, 32, 1, 8),
+    (2, 100, 100, 1, 32),
+    (1, 100, 100, 8, 16),
+    (2, 70, 90, 4, 6),
+    (2, 50, 100, 3, 4),
+    (1, 2, 5000, 2, 3),
+]
+
+
+def whole_batch_conv_backward(conv, x, grad_out):
+    """(grad_weights, grad_bias, dx) as one nine-tap pass over the whole
+    batch: each tap's dx rows in one GEMM, scatter-added into a zeroed
+    padded buffer in (di, dj) order."""
+    n, h, w, c_in = x.shape
+    xp = np.zeros((n, h + 2, w + 2, c_in), dtype=conv.dtype)
+    xp[:, 1:-1, 1:-1, :] = x
+    g2 = np.ascontiguousarray(grad_out).reshape(n * h * w, conv.out_channels)
+    grad_weights = np.empty_like(conv.weights)
+    dxp = np.zeros_like(xp)
+    for di in range(3):
+        for dj in range(3):
+            patch = np.ascontiguousarray(xp[:, di : di + h, dj : dj + w, :])
+            grad_weights[di, dj] = patch.reshape(n * h * w, c_in).T @ g2
+            dpatch = g2 @ conv.weights[di, dj].T
+            dxp[:, di : di + h, dj : dj + w, :] += dpatch.reshape(n, h, w, c_in)
+    return grad_weights, g2.sum(axis=0), dxp[:, 1:-1, 1:-1, :]
+
+
 class TestConv3x3:
     def test_matches_naive_correlation(self):
         # hand-unrolled 3x3 correlation with zero padding on a 4x4 input
@@ -73,25 +111,7 @@ class TestConv3x3:
         with pytest.raises(ValueError):
             Conv3x3(2, 3).forward(np.zeros((1, 4, 4, 5)))
 
-    # (n, h, w, c_in, c_out) like the stock and toy layers': whole-image
-    # groups with a partial last group (4x4, 7x7, 1x200, 13x13), bands of
-    # rows with a partial last band (100x100, 70x90, 50x100) and a row
-    # wider than a band
-    @pytest.mark.parametrize(
-        "n, h, w, c_in, c_out",
-        [
-            (128, 4, 4, 32, 64),
-            (100, 7, 7, 64, 40),
-            (45, 1, 200, 3, 5),
-            (30, 13, 13, 24, 48),
-            (9, 32, 32, 1, 8),
-            (2, 100, 100, 1, 32),
-            (1, 100, 100, 8, 16),
-            (2, 70, 90, 4, 6),
-            (2, 50, 100, 3, 4),
-            (1, 2, 5000, 2, 3),
-        ],
-    )
+    @pytest.mark.parametrize("n, h, w, c_in, c_out", CONV_SHAPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [False, True])
     def test_banded_forward_matches_whole_batch_nine_taps(self, n, h, w, c_in, c_out, dtype, train):
@@ -115,6 +135,57 @@ class TestConv3x3:
         out = conv.forward(x, train=train)
         assert out.shape == (n, h, w, c_out) and out.dtype == dtype
         assert out.tobytes() == expected.tobytes()
+
+    # CONV_SHAPES, then: the toy net's conv12, whose dx runs in 16 groups;
+    # groups of 8 images whose 8192 x 16 -> 8 GEMMs sit just above the
+    # small-matrix switch (4-image groups would fall under it); two groups
+    # of 22 images; a batch just above the switch, and one under it, each
+    # one group; c_in = 1 on a large batch, one group (a gemv)
+    @pytest.mark.parametrize(
+        "n, h, w, c_in, c_out",
+        CONV_SHAPES
+        + [
+            (128, 32, 32, 8, 16),
+            (44, 32, 32, 8, 16),
+            (44, 16, 16, 16, 16),
+            (20, 16, 16, 16, 16),
+            (3, 8, 8, 16, 16),
+            (64, 32, 32, 1, 8),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_whole_batch_scatter_add(self, n, h, w, c_in, c_out, dtype):
+        rng = make_rng(19)
+        conv = Conv3x3(c_in, c_out, dtype=dtype)
+        conv.weights[...] = rng.normal(0.0, 0.3, conv.weights.shape)
+        x = rng.standard_normal((n, h, w, c_in)).astype(dtype)
+        grad_out = rng.standard_normal((n, h, w, c_out)).astype(dtype)
+        grad_weights, grad_bias, dx = whole_batch_conv_backward(conv, x, grad_out)
+        conv.forward(x, train=True)
+        got = conv.backward(grad_out)
+        assert got.shape == x.shape and got.dtype == dtype
+        assert got.tobytes() == np.ascontiguousarray(dx).tobytes()
+        assert conv.grad_weights.tobytes() == grad_weights.tobytes()
+        assert conv.grad_bias.tobytes() == grad_bias.tobytes()
+
+    def test_dx_groups_stay_on_the_whole_batch_side_of_both_switches(self):
+        from faceverify.micronet.layers import _SMALL_GEMM
+
+        for n, pixels, (c_in, c_out) in itertools.product(
+            [1, 2, 7, 44, 128, 1000],
+            [1, 4, 16, 49, 64, 256, 1024, 10000],
+            [(1, 8), (8, 16), (16, 32), (48, 32), (160, 320), (1000, 2000)],
+        ):
+            case = (n, pixels, c_in, c_out)
+            groups = Conv3x3(c_in, c_out)._dx_groups(n, pixels)
+            assert [i for g in groups for i in range(*g)] == list(range(n)), case  # in order, no gap or overlap
+            whole = n * pixels * c_in * c_out
+            if c_in == 1 or whole <= _SMALL_GEMM:
+                assert groups == [(0, n)], case
+            for i0, i1 in groups:
+                rows = (i1 - i0) * pixels
+                assert rows > 1 or n * pixels == 1, case
+                assert (rows * c_in * c_out > _SMALL_GEMM) == (whole > _SMALL_GEMM), case
 
     def test_small_last_group_agrees_to_rounding(self):
         # 100 images of 7x7 form groups of 83 and 17.  The second group's
@@ -152,6 +223,30 @@ class TestPReLU:
         x = np.where(np.abs(x) < 0.1, x + 0.3, x)
         check_input_gradient(layer, x, rng)
         check_param_gradients(layer, x, rng)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_where_form(self, dtype):
+        # the reference picks each coefficient with np.where; signed zeros,
+        # infinities and NaN in x and in the gradient keep their bytes
+        rng = make_rng(20)
+        layer = PReLU(5, dtype=dtype)
+        layer.slope[:] = [0.25, -0.0, 0.0, -0.3, 1.5]
+        special = np.array([0.0, -0.0, -np.inf, np.inf, np.nan, -1e-30, 1e-30], dtype=dtype)
+        x = rng.standard_normal((3, 6, 7, 5)).astype(dtype)
+        grad = rng.standard_normal(x.shape).astype(dtype)
+        x.reshape(-1)[::3] = rng.choice(special, x.size // 3 + 1)[: x.reshape(-1)[::3].size]
+        grad.reshape(-1)[1::4] = rng.choice(special, grad.size)[: grad.reshape(-1)[1::4].size]
+        neg = x < 0
+        gx = grad * x
+        gx *= neg
+        grad_slope = gx.reshape(-1, 5).sum(axis=0)
+        dx = grad * np.where(neg, layer.slope, np.asarray(1.0, dtype=dtype))
+        layer.forward(x, train=True)
+        got = layer.backward(grad)
+        assert got.dtype == dtype
+        assert got.tobytes() == dx.tobytes()
+        assert layer.grad_slope.tobytes() == grad_slope.tobytes()
 
     def test_default_slope(self):
         layer = PReLU(3)
@@ -201,6 +296,27 @@ class TestCrossChannelNorm:
         out = layer.forward(x, train=False)
         assert out.dtype == dtype
         assert out.tobytes() == layer.forward(x, train=True).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+    @pytest.mark.parametrize("size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", [(3, 5, 4, 9), (2, 100, 60, 16), (700, 1, 1, 1), (4, 2), (0, 4, 4, 8)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_sum_matches_strided_adds(self, size, shape, dtype):
+        # the reference adds the neighbours inside the clipped window with
+        # strided slices, in the same order; the layer sums blocks of rows
+        # (several here, the last one partial) in a -0.0 padded buffer.
+        # Signed zeros, infinities and NaN keep their bytes.
+        rng = make_rng(21)
+        v = rng.standard_normal(shape).astype(dtype)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        v.reshape(-1)[::4] = rng.choice(special, v.size)[: v.reshape(-1)[::4].size]
+        expected = v.copy()
+        for off in range(1, (size - 1) // 2 + 1):
+            expected[..., :-off] += v[..., off:]
+            expected[..., off:] += v[..., :-off]
+        got = CrossChannelNorm(size)._window_sum(v)
+        assert got.shape == v.shape and got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_gradients(self):
         rng = make_rng(5)
@@ -259,17 +375,36 @@ class TestMaxPool:
     def test_nan_propagates_and_odd_edges_never_win(self, h, w, train):
         # both modes take the output from one max over each window; a NaN
         # cell makes its window NaN and the -inf padding past an odd edge
-        # never wins, even against -inf cells
+        # never wins, even against -inf cells.  Backward sends a NaN
+        # window's gradient to its first NaN cell, and an all -inf
+        # window's to cell (0, 0).
         rng = make_rng(16)
         x = rng.standard_normal((2, h, w, 3))
         x[rng.random(x.shape) < 0.2] = -np.inf
         x[0, -1, -1, 0] = np.nan  # in the last window, cut short by an odd edge
+        if h > 1 and w > 1:
+            x[1, :2, :2, 1] = -np.inf  # a window of -inf cells only
+            x[1, 0, 1, 2] = x[1, 1, 0, 2] = np.nan  # first NaN at cell (0, 1)
         expected = np.empty((2, (h + 1) // 2, (w + 1) // 2, 3))
+        expected_dx = np.zeros(x.shape)
+        grad_out = rng.standard_normal(expected.shape)
         for b, i, j, ch in np.ndindex(expected.shape):
-            expected[b, i, j, ch] = np.max(x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, ch])
-        out = MaxPool2x2().forward(x, train=train)
+            window = x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, ch]
+            expected[b, i, j, ch] = np.max(window)
+            # the first NaN cell, else the first maximal one (cell (0, 0)
+            # when every cell is -inf); only cells inside x count
+            values = window.reshape(-1)
+            first = int(np.argmax(np.isnan(values))) if np.isnan(values).any() else int(np.argmax(values))
+            expected_dx[b, 2 * i + first // window.shape[1], 2 * j + first % window.shape[1], ch] = grad_out[b, i, j, ch]
+        layer = MaxPool2x2()
+        out = layer.forward(x, train=train)
         npt.assert_array_equal(out, expected)
         assert np.isnan(out[0, -1, -1, 0])
+        if train:
+            dx = layer.backward(grad_out)
+            npt.assert_array_equal(dx, expected_dx)
+            if h > 1 and w > 1:
+                assert dx[1, 0, 0, 1] == grad_out[1, 0, 0, 1] and dx[1, 0, 1, 2] == grad_out[1, 0, 0, 2]
 
 
 class TestGlobalAvgPool:

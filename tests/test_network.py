@@ -8,6 +8,7 @@ import pytest
 
 from faceverify.linalg import make_rng
 from faceverify.micronet import build_face_net, extract_features
+from faceverify.micronet.layers import Conv3x3
 from faceverify.micronet.network import LAYER_KINDS
 
 # frozen reference architecture: per-sample output shape and weight count
@@ -213,6 +214,36 @@ class TestInitialize:
                 npt.assert_array_equal(value, oracle.normal(0.0, 0.2, value.shape).astype(np.float32))
             else:  # biases restart at zero, PReLU slopes keep their value
                 npt.assert_array_equal(value, 0.0 if name == "bias" else 7.0)
+
+
+class TestTrainStep:
+    def test_first_layer_backward_runs_and_fills_its_gradients(self):
+        # nothing reads the input's gradient, so the first layer skips only
+        # that: a lone copy fed the same input and gradient agrees on the
+        # parameter gradients, and returns the input gradient too
+        net = build_face_net(num_classes=3, input_size=8, width_divisor=16)
+        net.initialize(make_rng(4), 0.3)
+        first = net.layers[0]
+        calls = []
+        backward = first.backward
+
+        def spy(grad):
+            calls.append((grad, backward(grad)))
+            return calls[-1][1]
+
+        first.backward = spy
+        x, y = make_rng(5).random((3, 8, 8, 1)), np.array([0, 2, 1])
+        net.loss(x, y, train=True, rng=make_rng(6))
+        net.backward(y)
+        [(grad, returned)] = calls
+        assert returned is None
+        assert np.count_nonzero(first.grad_weights) == first.grad_weights.size
+        alone = Conv3x3(first.in_channels, first.out_channels)
+        alone.weights[...] = first.weights
+        alone.forward(x, train=True)
+        assert alone.backward(grad).shape == x.shape
+        assert alone.grad_weights.tobytes() == first.grad_weights.tobytes()
+        assert alone.grad_bias.tobytes() == first.grad_bias.tobytes()
 
 
 class TestWholeNetGradient:
