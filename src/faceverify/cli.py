@@ -10,6 +10,8 @@ exit code; fatal errors exit non-zero with a stage-tagged message.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -276,6 +278,13 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="faceverify", description=__doc__)
+    parser.add_argument(
+        "-v",
+        "--log-level",
+        choices=("debug", "info", "warning", "error"),
+        default=None,
+        help="print the faceverify logger's messages of this level and above on stderr (default: none)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="warp images into the canonical frame")
@@ -375,13 +384,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str | None):
+    """While the block runs, send the faceverify logger's records of
+    level and above to stderr; None leaves the logger as it is (silent).
+    The logger is restored afterwards, so main can run many times in one
+    process."""
+    if level is None:
+        yield
+        return
+    log = logging.getLogger("faceverify")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    old_level = log.level
+    log.addHandler(handler)
+    log.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except Exception as exc:  # fatal: tag with the failing stage
-        print(f"{args.command}: error: {exc}", file=sys.stderr)
-        return 1
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.fn(args)
+        except Exception as exc:  # fatal: tag with the failing stage
+            print(f"{args.command}: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

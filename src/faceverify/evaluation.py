@@ -153,8 +153,11 @@ def aggregate_splits(values) -> tuple[float, float]:
 
 def emit_curves(curve: RocCurve, cmc_result: CmcResult, roc_path, cmc_path) -> None:
     """Write plot-ready (far, tar) and (rank, accuracy) CSV tables, \\r\\n-terminated."""
-    roc_rows = zip(curve.far.tolist(), curve.tar.tolist())
-    roc_text = "far,tar\r\n" + "".join("%.17g,%.17g\r\n" % row for row in roc_rows)
+    # TAR takes at most |pos| + 1 values, so each distinct one is formatted once
+    distinct, inverse = np.unique(curve.tar, return_inverse=True)
+    tar_text = np.array(["%.17g" % t for t in distinct.tolist()], dtype=object)[inverse]
+    roc_rows = zip(curve.far.tolist(), tar_text.tolist())
+    roc_text = "far,tar\r\n" + "".join("%.17g,%s\r\n" % row for row in roc_rows)
     write_file(roc_path, [roc_text.encode("utf-8")])
     cmc_rows = enumerate(cmc_result.accuracies.tolist(), start=1)
     cmc_text = "rank,accuracy\r\n" + "".join("%d,%.17g\r\n" % row for row in cmc_rows)

@@ -2,10 +2,16 @@
 
 All activations are NHWC.  A train-mode forward caches whatever the
 backward pass needs on the instance, so training is a strictly
-sequential forward -> backward -> update cycle; a layer instance must
-not be shared between concurrent passes.  An eval-mode forward caches
-nothing and drops the previous train-mode cache, so a backward after it
-raises instead of returning the gradient of an older batch.
+sequential forward -> backward -> update cycle, and a train-mode pass
+must not share a layer instance with any other pass.  An eval-mode
+forward caches nothing and only sets those caches to None, so a
+backward after it raises instead of returning the gradient of an older
+batch, and concurrent eval-mode forwards may share one layer.
+
+Gradient arrays start as np.zeros, not np.zeros_like: np.zeros takes
+zeroed memory (calloc), so a large array's pages stay untouched until
+written, and every backward replaces the arrays, so a net that only
+runs eval forwards never makes its gradients resident.
 
 Compute dtype follows the parameter dtype chosen at construction
 (float64 by default; float32 roughly halves memory traffic for
@@ -115,8 +121,8 @@ class Conv3x3(Layer):
         self.dtype = dtype
         self.weights = np.zeros((3, 3, in_channels, out_channels), dtype=dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
+        self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
+        self.grad_bias = np.zeros(out_channels, dtype=dtype)
         self._xp = None
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -214,7 +220,7 @@ class PReLU(Layer):
     def __init__(self, in_channels: int, dtype=np.float64):
         self.in_channels = in_channels
         self.slope = np.full(in_channels, 0.25, dtype=dtype)
-        self.grad_slope = np.zeros_like(self.slope)
+        self.grad_slope = np.zeros(in_channels, dtype=dtype)
         self._x = None
         self._neg = None
 
@@ -428,8 +434,8 @@ class Dense(Layer):
         self.out_channels = out_channels
         self.weights = np.zeros((in_channels, out_channels), dtype=dtype)
         self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
+        self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
+        self.grad_bias = np.zeros(out_channels, dtype=dtype)
         self._x = None
 
     def forward(self, x, train=False, rng=None):

@@ -12,6 +12,8 @@ second and fourth convolutions.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +76,7 @@ class Network:
     the global-average-pool layer gives the feature descriptor."""
 
     def __init__(self, named_layers, input_shape: tuple, num_classes: int):
+        named_layers = list(named_layers)  # read twice: layers, then spec
         self.layers: list[Layer] = [layer for _, layer in named_layers]
         specs = (
             LayerSpec(layer.kind, name, {f: getattr(layer, f) for f in layer.fields}) for name, layer in named_layers
@@ -135,12 +138,21 @@ class Network:
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pooled descriptor (eval mode, dropout off), not yet normalized.
 
-        Each image walks the layers alone, so peak memory is one image's
-        activations whatever the batch size, and a row depends only on its
-        image, never on the batch it came in."""
+        Each image walks the layers alone, and up to one walk per core of
+        the process runs at once on a thread pool (numpy releases the GIL
+        in BLAS and its loops).  Peak memory is one image's activations
+        per worker whatever the batch size, and a row depends only on its
+        image, never on the batch it came in or the thread it ran on."""
         self._check_batch(x)
-        rows = [self._pooled(x[i : i + 1]) for i in range(x.shape[0])]
-        return np.concatenate(rows) if rows else self._pooled(x)
+        n = x.shape[0]
+        if n == 0:
+            return self._pooled(x)
+        images = (x[i : i + 1] for i in range(n))
+        workers = min(n, _cores())
+        if workers == 1:
+            return np.concatenate(list(map(self._pooled, images)))
+        with ThreadPoolExecutor(workers) as pool:
+            return np.concatenate(list(pool.map(self._pooled, images)))
 
     def _pooled(self, x: np.ndarray) -> np.ndarray:
         for out in self._walk(x, stop=self._feature_index + 1):
@@ -151,6 +163,14 @@ class Network:
         for layer in self.layers:
             for item in layer.param_items():
                 yield (layer, *item)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def build_face_net(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,15 +66,30 @@ def write_file(path, chunks) -> None:
         raise
 
 
-def _read_exact(fh, size: int, path, what: str) -> bytes:
-    """size bytes; a size past the end of the file fails before any read,
-    so a header that claims too much data allocates nothing."""
+def _check_left(fh, size: int, path, what: str) -> None:
+    """A size past the end of the file fails before any read, so a
+    header that claims too much data allocates nothing."""
     if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated {what}")
+
+
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    _check_left(fh, size, path, what)
     data = fh.read(size)
     if len(data) != size:
         raise ValueError(f"{path}: truncated {what}")
     return data
+
+
+def _read_f8_into(fh, value: np.ndarray, path, what: str) -> None:
+    """Fill a C-contiguous float64 array with value.size little-endian
+    float64s read straight into its memory, with no bytes copy."""
+    view = memoryview(value).cast("B")
+    _check_left(fh, view.nbytes, path, what)
+    if fh.readinto(view) != view.nbytes:
+        raise ValueError(f"{path}: truncated {what}")
+    if sys.byteorder == "big":
+        value.byteswap(inplace=True)
 
 
 def _expect_end(fh, path, what: str) -> None:
@@ -160,8 +176,7 @@ def read_checkpoint(path) -> Network:
             raise ValueError(f"{path}: {exc}") from exc
         for spec, layer in zip(net.spec.layers, net.layers):
             for name, value, _, _ in layer.param_items():
-                raw = _read_exact(fh, value.size * 8, path, "parameter data")
-                value[...] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
+                _read_f8_into(fh, value, path, "parameter data")
                 if not np.isfinite(value).all():
                     raise ValueError(f"{path}: {spec.name} {name} holds NaN or inf")
         _expect_end(fh, path, "parameters")

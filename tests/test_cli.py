@@ -596,6 +596,26 @@ class TestReportCommand:
         golden = (GOLDEN / "report_demo.txt").read_text()
         assert produced == golden
 
+    def test_log_level_info_shows_the_split_lines_on_stderr_only(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        runs = {}
+        for flags in ([], ["-v", "info"], []):  # the last run checks that the logger goes quiet again
+            assert main([*flags, "report", "--out-dir", str(out), "--seed", "1", "--splits", "1"]) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            runs[len(runs)] = (capsys.readouterr(), files)
+            out.rename(tmp_path / f"run{len(runs)}")
+        (quiet, quiet_files), (loud, loud_files), (after, after_files) = runs.values()
+        assert quiet.err == after.err == ""
+        assert "faceverify: INFO: split 0 done: {" in loud.err
+        assert "faceverify: INFO: split 0: metric violations" in loud.err
+        assert quiet.out == loud.out == after.out and quiet.out
+        assert quiet_files == loud_files == after_files and len(quiet_files) == 14
+
+    def test_log_level_rejects_an_unknown_level(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--log-level", "loud", "report"])
+        assert "invalid choice: 'loud'" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         blobs = {}
         for name in ("r1", "r2"):

@@ -1,5 +1,7 @@
 import inspect
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,9 +9,10 @@ import numpy.testing as npt
 import pytest
 
 from faceverify.linalg import make_rng
-from faceverify.micronet import build_face_net, extract_features
-from faceverify.micronet.layers import Conv3x3
-from faceverify.micronet.network import LAYER_KINDS
+from faceverify.micronet import build_face_net, extract_features, network
+from faceverify.micronet.layers import Conv3x3, Dense, GlobalAvgPool, SoftmaxXent
+from faceverify.micronet.network import LAYER_KINDS, Network
+from faceverify.storage import read_checkpoint, write_checkpoint
 
 # frozen reference architecture: per-sample output shape and weight count
 # of each layer; global pooling emits (n, c)
@@ -122,6 +125,21 @@ def test_layer_class_is_the_one_source_of_its_fields(kind):
     assert {f: getattr(layer, f) for f in cls.fields} == args
 
 
+def test_network_from_a_generator_keeps_every_layer(tmp_path):
+    pairs = [("conv", Conv3x3(1, 2)), ("gap", GlobalAvgPool()), ("fc", Dense(2, 3)), ("cost", SoftmaxXent())]
+    net = Network(((name, layer) for name, layer in pairs), (4, 4, 1), 3)
+    assert len(net.spec.layers) == len(net.layers) == len(pairs)
+    assert [s.name for s in net.spec.layers] == [name for name, _ in pairs]
+    net.initialize(make_rng(12), 0.3)
+    path = tmp_path / "net.jvnt"
+    write_checkpoint(path, net)
+    back = read_checkpoint(path)
+    assert back.spec == net.spec
+    for (_, n1, v1, _, _), (_, n2, v2, _, _) in zip(net.param_items(), back.param_items(), strict=True):
+        assert n1 == n2
+        npt.assert_array_equal(v1, v2)
+
+
 class TestForward:
     def test_zero_weights_give_zero_feature(self):
         net = build_face_net(num_classes=10, input_size=32, width_divisor=4)
@@ -158,23 +176,75 @@ class TestForward:
         assert len(acts) == len(net.layers)
 
 
+# Workers forced onto features' thread pool whatever the machine's cores.
+POOL_WORKERS = 3
+
+
 class TestStreamingFeatures:
     @pytest.mark.parametrize("input_size, width_divisor", [(100, 1), (32, 4)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_batch_rows_equal_each_image_alone(self, input_size, width_divisor, dtype):
+    def test_batch_rows_equal_each_image_alone(self, monkeypatch, input_size, width_divisor, dtype):
         net = build_face_net(num_classes=3, input_size=input_size, width_divisor=width_divisor, dtype=dtype)
         net.initialize(make_rng(8), 0.05)
-        x = make_rng(9).random((3, input_size, input_size, 1))
-        feats = net.features(x)
-        assert feats.shape == (3, 320 // width_divisor) and feats.dtype == dtype
-        for i in range(3):
-            assert feats[i : i + 1].tobytes() == net.features(x[i : i + 1]).tobytes()
+        x = make_rng(9).random((POOL_WORKERS + 1, input_size, input_size, 1))
+        alone = [net.features(x[i : i + 1]) for i in range(len(x))]  # one worker: inline
+        monkeypatch.setattr(network, "_cores", lambda: POOL_WORKERS)
+        for n in (0, 1, 2, POOL_WORKERS + 1):
+            feats = net.features(x[:n])
+            assert feats.shape == (n, 320 // width_divisor) and feats.dtype == dtype
+            assert feats.tobytes() == b"".join(row.tobytes() for row in alone[:n])
         if dtype == np.float64:
             # every GEMM of these shapes is large enough that BLAS sums
             # each row alike in a batch and alone, so streaming changes
             # no float64 feature of the whole-batch walk
-            pooled = net.forward(x)[[s.kind for s in net.spec.layers].index("avgpool_global")]
-            assert feats.tobytes() == pooled.tobytes()
+            pooled = net.forward(x[:3])[[s.kind for s in net.spec.layers].index("avgpool_global")]
+            assert net.features(x[:3]).tobytes() == pooled.tobytes()
+
+    def test_pool_runs_one_walk_per_image_on_at_most_that_many_workers(self, monkeypatch):
+        net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
+        seen, pooled = [], net._pooled
+
+        def spy(image):
+            seen.append((image.shape, threading.get_ident()))
+            return pooled(image)
+
+        monkeypatch.setattr(net, "_pooled", spy)
+        monkeypatch.setattr(network, "_cores", lambda: POOL_WORKERS)
+        net.features(np.zeros((7, 16, 16, 1)))
+        assert [shape for shape, _ in seen] == [(1, 16, 16, 1)] * 7
+        assert threading.get_ident() not in {ident for _, ident in seen}
+        assert len({ident for _, ident in seen}) <= POOL_WORKERS
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        # every walk shares the net's layers, and an eval forward only
+        # sets their caches to None, so each row stays its lone walk's
+        net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
+        net.initialize(make_rng(13), 0.1)
+        x = make_rng(14).random((24, 16, 16, 1))
+        alone = b"".join(net.features(x[i : i + 1]).tobytes() for i in range(len(x)))
+        monkeypatch.setattr(network, "_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert net.features(x).tobytes() == alone
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_in_one_walk_reaches_the_caller(self, monkeypatch):
+        net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
+        conv, forward = net.layers[0], net.layers[0].forward
+
+        def failing(x, train=False, rng=None):
+            if x[0, 0, 0, 0] == 5.0:
+                raise RuntimeError("walk of image 5 failed")
+            return forward(x, train, rng)
+
+        monkeypatch.setattr(conv, "forward", failing)
+        monkeypatch.setattr(network, "_cores", lambda: POOL_WORKERS)
+        x = np.broadcast_to(np.arange(8.0)[:, None, None, None], (8, 16, 16, 1))
+        with pytest.raises(RuntimeError, match="walk of image 5 failed"):
+            net.features(x)
 
     def test_empty_batch(self):
         net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
@@ -186,19 +256,23 @@ class TestStreamingFeatures:
         with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
             net.features(np.zeros(shape))
 
-    def test_peak_memory_does_not_grow_with_the_batch(self):
+    def test_peak_memory_does_not_grow_with_the_batch(self, monkeypatch):
+        # one image's activations per worker: a fixed worker count holds
+        # about as much for 8 images as for one image per worker
         net = build_face_net(num_classes=3, input_size=100, width_divisor=8)
         net.initialize(make_rng(10), 0.05)
         x = make_rng(11).random((8, 100, 100, 1))
-        peaks = {}
-        for n in (1, 8):
-            tracemalloc.start()
-            try:
-                net.features(x[:n])
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[8] < 2 * peaks[1], peaks
+        for workers in (1, 2):
+            monkeypatch.setattr(network, "_cores", lambda: workers)
+            peaks = {}
+            for n in (workers, 8):
+                tracemalloc.start()
+                try:
+                    net.features(x[:n])
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[8] < 2 * peaks[workers], (workers, peaks)
 
 
 class TestInitialize:

@@ -60,6 +60,17 @@ class TestCheckpoint:
         x = make_rng(2).random((2, 16, 16, 1))
         npt.assert_array_equal(net.features(x), back.features(x))
 
+    def test_fresh_read_gradients_are_zero(self, tmp_path):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        net.initialize(make_rng(4), 0.1)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        items = list(read_checkpoint(path).param_items())
+        assert len(items) == 31  # weights and bias of ten convs and fc6, nine PReLU slopes
+        for _, name, value, grad, _ in items:
+            assert grad.shape == value.shape and grad.dtype == np.float64, name
+            assert not grad.any(), name
+
     def test_float32_net_serializes_as_float64(self, tmp_path):
         net = build_face_net(num_classes=4, input_size=16, width_divisor=8, dtype=np.float32)
         net.initialize(make_rng(3), 0.1)
