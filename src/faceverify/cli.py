@@ -313,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--list", default="")
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--batch-size",
-        type=_at_least_one,
-        default=32,
-        help="unused, kept so existing command lines run: extract walks the net one image at a time",
-    )
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("pool", help="pool media features into templates")

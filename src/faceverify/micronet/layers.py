@@ -6,7 +6,9 @@ sequential forward -> backward -> update cycle, and a train-mode pass
 must not share a layer instance with any other pass.  An eval-mode
 forward caches nothing and only sets those caches to None, so a
 backward after it raises instead of returning the gradient of an older
-batch, and concurrent eval-mode forwards may share one layer.
+batch, and concurrent eval-mode forwards may share one layer.  The one
+exception is SoftmaxXent, which keeps its probabilities in both modes
+for loss() to read; Network.features stops before it.
 
 Gradient arrays start as np.zeros, not np.zeros_like: np.zeros takes
 zeroed memory (calloc), so a large array's pages stay untouched until
@@ -61,6 +63,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _nine_taps(padded, out, groups, taps, start) -> None:
+    """Set out[i0:i1, r0:r1] (whole rows, so a view) of each group to start,
+    then add each tap's ((di, dj), matrix) window of `padded`, offset by
+    (di, dj) from those pixels, times its matrix, in the order given."""
+    w = out.shape[2]
+    for i0, i1, r0, r1 in groups:
+        acc = out[i0:i1, r0:r1].reshape(-1, out.shape[3])
+        acc[:] = start
+        for (di, dj), mat in taps:
+            window = np.ascontiguousarray(padded[i0:i1, r0 + di : r1 + di, dj : dj + w, :])
+            acc += window.reshape(-1, padded.shape[3]) @ mat
+
+
 def _cached(value):
     """A train-mode forward's cache, for backward to read."""
     if value is None:
@@ -101,15 +116,16 @@ class Conv3x3(Layer):
     _GROUP_PIXELS: bands of rows of one image, or whole images when one
     image is smaller.  Each group starts from the bias and adds nine
     shift-and-GEMM products against the padded input, in (di, dj) order,
-    into its own slice of the output.  No sum runs across groups, and
-    peak memory is one padded copy of the input plus one band instead of
-    a full im2col buffer.  A GEMM row's bytes can still depend on the
-    size of its call: OpenBLAS sums a row in another order in a call of
-    one row or of fewer than about 1e6 multiply-adds.
+    into its own slice of the output (_nine_taps).  No sum runs across
+    groups, and peak memory is one padded copy of the input plus one
+    band instead of a full im2col buffer.  A GEMM row's bytes can still
+    depend on the size of its call: OpenBLAS sums a row in another order
+    in a call of one row or of fewer than about 1e6 multiply-adds.
 
     Backward keeps each grad-weight GEMM whole, since it sums over every
-    pixel of the batch, and gathers the input gradient per group of
-    whole images (_dx_groups) from the zero-padded output gradient.
+    pixel of the batch.  The input gradient runs the same nine-tap loop
+    from zero, per group of whole images (_dx_groups), on the padded
+    output gradient with mirrored taps and transposed weights.
     """
 
     kind = "conv3x3"
@@ -143,13 +159,8 @@ class Conv3x3(Layer):
         else:
             images = _GROUP_PIXELS // max(1, h * w)
             groups = [(i, min(i + images, n), 0, h) for i in range(0, n, images)]
-        for i0, i1, r0, r1 in groups:
-            acc = out[i0:i1, r0:r1].reshape(-1, self.out_channels)  # a view: whole rows
-            acc[:] = self.bias
-            for di in range(3):
-                for dj in range(3):
-                    patch = np.ascontiguousarray(xp[i0:i1, r0 + di : r1 + di, dj : dj + w, :])
-                    acc += patch.reshape(-1, self.in_channels) @ self.weights[di, dj]
+        taps = [((di, dj), self.weights[di, dj]) for di in range(3) for dj in range(3)]
+        _nine_taps(xp, out, groups, taps, self.bias)
         self._xp = xp if train else None
         return out
 
@@ -173,20 +184,10 @@ class Conv3x3(Layer):
         # taps in (di, dj) order to a +0.0 start, as a scatter-add over the
         # whole batch would.  A padding row adds a zero (weights are
         # finite) to a sum that is never -0.0, which leaves it unchanged.
-        gp = self._pad(grad_out)
         dx = np.empty((n, h, w, c_in), dtype=self.dtype)
-        groups = self._dx_groups(n, h * w)
-        most = max(i1 - i0 for i0, i1 in groups)
-        shifted = np.empty((most, h, w, c_out), dtype=self.dtype)
-        prod = np.empty((most * h * w, c_in), dtype=self.dtype)
-        for i0, i1 in groups:
-            acc = dx[i0:i1].reshape(-1, c_in)
-            acc[:] = 0
-            rows, part = shifted[: i1 - i0], prod[: len(acc)]
-            for di in range(3):
-                for dj in range(3):
-                    np.copyto(rows, gp[i0:i1, 2 - di : 2 - di + h, 2 - dj : 2 - dj + w, :])
-                    acc += np.matmul(rows.reshape(-1, c_out), self.weights[di, dj].T, out=part)
+        groups = [(i0, i1, 0, h) for i0, i1 in self._dx_groups(n, h * w)]
+        taps = [((2 - di, 2 - dj), self.weights[di, dj].T) for di in range(3) for dj in range(3)]
+        _nine_taps(self._pad(grad_out), dx, groups, taps, 0)
         return dx
 
     def _dx_groups(self, n: int, pixels: int) -> list[tuple[int, int]]:
@@ -304,14 +305,11 @@ class CrossChannelNorm(Layer):
         denom = self._window_sum(x * x)
         denom *= self.alpha / self.size
         denom += self.k
-        if not train:  # the same ops, in place
-            self._x = self._denom = self._scale = None
-            np.power(denom, -self.beta, out=denom)
-            denom *= x
-            return denom
-        scale = np.power(denom, -self.beta)
-        self._x, self._denom, self._scale = x, denom, scale
-        return x * scale
+        # eval keeps nothing for backward, so it overwrites denom in place
+        scale = np.power(denom, -self.beta, out=None if train else denom)
+        out = np.multiply(x, scale, out=None if train else scale)
+        self._x, self._denom, self._scale = (x, denom, scale) if train else (None, None, None)
+        return out
 
     def backward(self, grad_out):
         x, denom, scale = _cached(self._x), self._denom, self._scale

@@ -138,21 +138,17 @@ class Network:
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pooled descriptor (eval mode, dropout off), not yet normalized.
 
-        Each image walks the layers alone, and up to one walk per core of
-        the process runs at once on a thread pool (numpy releases the GIL
-        in BLAS and its loops).  Peak memory is one image's activations
-        per worker whatever the batch size, and a row depends only on its
-        image, never on the batch it came in or the thread it ran on."""
+        Each image walks the layers alone on a thread pool of _walkers()
+        threads (numpy releases the GIL in BLAS and its loops).  Peak
+        memory is one image's activations per walker whatever the batch
+        size, and a row depends only on its image, never on the batch it
+        came in or the thread it ran on."""
         self._check_batch(x)
         n = x.shape[0]
         if n == 0:
             return self._pooled(x)
-        images = (x[i : i + 1] for i in range(n))
-        workers = min(n, _cores())
-        if workers == 1:
-            return np.concatenate(list(map(self._pooled, images)))
-        with ThreadPoolExecutor(workers) as pool:
-            return np.concatenate(list(pool.map(self._pooled, images)))
+        with ThreadPoolExecutor(min(n, _walkers())) as pool:
+            return np.concatenate(list(pool.map(self._pooled, (x[i : i + 1] for i in range(n)))))
 
     def _pooled(self, x: np.ndarray) -> np.ndarray:
         for out in self._walk(x, stop=self._feature_index + 1):
@@ -165,12 +161,18 @@ class Network:
                 yield (layer, *item)
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
+def _walkers() -> int:
+    """Concurrent walks for features: the cores this process may run on,
+    divided by OpenBLAS's thread count, which is the first whole number
+    of at least 1 in OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else one
+    thread per core (so an unpinned BLAS leaves one walker)."""
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    counts = (os.environ.get(var, "").strip() for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas_threads = next((int(v) for v in counts if v.isdecimal() and int(v) >= 1), cores)
+    return max(1, cores // blas_threads)
 
 
 def build_face_net(

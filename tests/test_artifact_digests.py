@@ -1,6 +1,6 @@
 """Byte identity of the program's artifacts.
 
-Three fixed runs write their files under fixed relative paths (so that
+Fixed runs write their files under fixed relative paths (so that
 `config.resolved.ini` does not name a temp directory), and the SHA-256
 of every file they write must equal golden/artifact_digests.json:
 
@@ -8,7 +8,10 @@ of every file they write must equal golden/artifact_digests.json:
   configs (perfbench.inputs.write_report_config);
 - a few iterations of toy `train-cnn --float32 --width-divisor 4`;
 - `align` + `extract` of a few faces through a stock-shape float64 net
-  with seeded random weights.
+  with seeded random weights;
+- features of a few 32x32 images through a float32 width/4 net with
+  seeded random weights (the CLI reads every checkpoint as float64, so
+  this run pins the float32 eval path through the API).
 
 Float sums depend on the order of their terms, so a change that
 reorders one changes some file here.  The digests may also depend on
@@ -26,22 +29,18 @@ import hashlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import make_blob_images
+from faceverify import pnm, storage
+from faceverify.cli import main
+from faceverify.micronet import build_face_net, extract_features
+from perfbench import inputs as bench_inputs
+
 ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from conftest import make_blob_images  # noqa: E402
-from faceverify import pnm  # noqa: E402
-from faceverify.cli import main  # noqa: E402
-from faceverify.micronet import build_face_net  # noqa: E402
-from perfbench import inputs as bench_inputs  # noqa: E402
-
 GOLDEN = ROOT / "tests" / "golden" / "artifact_digests.json"
 FACES = ("face000.pgm", "face004.pgm", "face009.pgm")
 
@@ -89,12 +88,22 @@ def run_align_extract() -> Path:
     return Path("out")
 
 
+def run_extract_float32() -> Path:
+    net = build_face_net(num_classes=10, input_size=32, width_divisor=4, dtype=np.float32)
+    bench_inputs.write_random_checkpoint(Path("toy.jvnt"), net, seed=11)
+    images, _ = make_blob_images(n=6, seed=12)
+    Path("out").mkdir()
+    storage.write_features(Path("out/features.jvfe"), extract_features(net, images), [f"b{k}" for k in range(6)])
+    return Path("out")
+
+
 RUNS = {
     "report-default": run_report_default,
     "report-verify_d320": lambda: _run_report_bench("verify_d320"),
     "report-verify_hard_d32": lambda: _run_report_bench("verify_hard_d32"),
     "train-cnn": run_train_cnn,
     "align-extract": run_align_extract,
+    "extract-float32": run_extract_float32,
 }
 
 

@@ -447,25 +447,21 @@ class TestTrainExtractCommands:
         npt.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-5)
 
 
-    @pytest.mark.parametrize("command", ["extract", "train-cnn"])
     @pytest.mark.parametrize("value, message", [("0", "must be at least 1, got 0"),
                                                 ("-3", "must be at least 1, got -3"),
                                                 ("8.5", "not a whole number: '8.5'")])
-    def test_batch_size_below_one_names_the_flag(self, net8, tmp_path, capsys, command, value, message):
+    def test_batch_size_below_one_names_the_flag(self, tmp_path, capsys, value, message):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
         pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
         out = tmp_path / "out.bin"
-        if command == "extract":
-            argv = ["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(out)]
-        else:
-            manifest = tmp_path / "train.csv"
-            manifest.write_text("a.pgm,c0\n")
-            argv = ["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out)]
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("a.pgm,c0\n")
+        argv = ["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--batch-size", value])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"{command}: error: argument --batch-size: {message}\n")
+        assert capsys.readouterr().err.endswith(f"train-cnn: error: argument --batch-size: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2"])

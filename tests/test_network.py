@@ -187,8 +187,8 @@ class TestStreamingFeatures:
         net = build_face_net(num_classes=3, input_size=input_size, width_divisor=width_divisor, dtype=dtype)
         net.initialize(make_rng(8), 0.05)
         x = make_rng(9).random((POOL_WORKERS + 1, input_size, input_size, 1))
-        alone = [net.features(x[i : i + 1]) for i in range(len(x))]  # one worker: inline
-        monkeypatch.setattr(network, "_cores", lambda: POOL_WORKERS)
+        alone = [net.features(x[i : i + 1]) for i in range(len(x))]  # one walker each
+        monkeypatch.setattr(network, "_walkers", lambda: POOL_WORKERS)
         for n in (0, 1, 2, POOL_WORKERS + 1):
             feats = net.features(x[:n])
             assert feats.shape == (n, 320 // width_divisor) and feats.dtype == dtype
@@ -209,7 +209,7 @@ class TestStreamingFeatures:
             return pooled(image)
 
         monkeypatch.setattr(net, "_pooled", spy)
-        monkeypatch.setattr(network, "_cores", lambda: POOL_WORKERS)
+        monkeypatch.setattr(network, "_walkers", lambda: POOL_WORKERS)
         net.features(np.zeros((7, 16, 16, 1)))
         assert [shape for shape, _ in seen] == [(1, 16, 16, 1)] * 7
         assert threading.get_ident() not in {ident for _, ident in seen}
@@ -222,7 +222,7 @@ class TestStreamingFeatures:
         net.initialize(make_rng(13), 0.1)
         x = make_rng(14).random((24, 16, 16, 1))
         alone = b"".join(net.features(x[i : i + 1]).tobytes() for i in range(len(x)))
-        monkeypatch.setattr(network, "_cores", lambda: 8)
+        monkeypatch.setattr(network, "_walkers", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -241,10 +241,27 @@ class TestStreamingFeatures:
             return forward(x, train, rng)
 
         monkeypatch.setattr(conv, "forward", failing)
-        monkeypatch.setattr(network, "_cores", lambda: POOL_WORKERS)
+        monkeypatch.setattr(network, "_walkers", lambda: POOL_WORKERS)
         x = np.broadcast_to(np.arange(8.0)[:, None, None, None], (8, 16, 16, 1))
         with pytest.raises(RuntimeError, match="walk of image 5 failed"):
             net.features(x)
+
+    @pytest.mark.parametrize(
+        "openblas, omp, walkers",
+        [(None, None, 1), ("1", None, 4), ("2", "1", 2), ("3", None, 1), ("8", None, 1),
+         (None, "1", 4), ("0", "2", 2), ("x", None, 1), ("", "4", 1)],
+    )
+    def test_walkers_share_the_cores_with_blas_threads(self, monkeypatch, openblas, omp, walkers):
+        # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS, then
+        # OMP_NUM_THREADS, else one thread per core; counts that are not
+        # whole numbers of at least 1 are passed over
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert network._walkers() == walkers
 
     def test_empty_batch(self):
         net = build_face_net(num_classes=3, input_size=16, width_divisor=8)
@@ -263,7 +280,7 @@ class TestStreamingFeatures:
         net.initialize(make_rng(10), 0.05)
         x = make_rng(11).random((8, 100, 100, 1))
         for workers in (1, 2):
-            monkeypatch.setattr(network, "_cores", lambda: workers)
+            monkeypatch.setattr(network, "_walkers", lambda: workers)
             peaks = {}
             for n in (workers, 8):
                 tracemalloc.start()
