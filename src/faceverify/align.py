@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from faceverify.storage import open_text
+
 __all__ = [
     "LandmarkSet",
     "SimilarityTransform",
@@ -186,7 +188,7 @@ def warp_to_canonical(img: np.ndarray, transform: SimilarityTransform, frame: Ca
 def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
     """Parse a landmark file: one 'media_path,x0,y0,...,x6,y6' record per line."""
     records: list[tuple[str, LandmarkSet]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

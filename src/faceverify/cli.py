@@ -63,7 +63,7 @@ def cmd_align(args) -> int:
 
 def _read_label_manifest(path) -> list[tuple[str, str]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with storage.open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -122,7 +122,7 @@ def cmd_extract(args) -> int:
     net = storage.read_checkpoint(args.model)
     root = Path(args.images)
     if args.list:
-        with open(args.list, "r", encoding="utf-8") as fh:
+        with storage.open_text(args.list) as fh:
             media = [line.strip() for line in fh if line.strip()]
     else:
         media = [p.name for p in _image_list(root)]
@@ -138,9 +138,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _read_split_manifest(path) -> list[templates.ManifestRow]:
+    """A template manifest whose gallery and probe share no media within
+    a split (check_split_disjoint); a breach fails naming the file."""
+    rows = templates.read_manifest(path)
+    try:
+        templates.check_split_disjoint(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return rows
+
+
 def cmd_pool(args) -> int:
     feats, media_ids = storage.read_features(args.features)
-    rows = templates.read_manifest(args.manifest)
+    rows = _read_split_manifest(args.manifest)
     try:
         ids, _, pooled = templates.build_templates(rows, feats, media_ids, role=args.role, split=args.split)
     except ValueError as exc:
@@ -188,8 +199,9 @@ def cmd_score(args) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    """A --batch-size or --iters value: a whole number, at least 1.
-    argparse prefixes the error with the flag."""
+    """A train-cnn --width-divisor, --batch-size, --iters or --crop-size
+    value: a whole number, at least 1.  argparse prefixes the error with
+    the flag."""
     try:
         value = int(text)
     except ValueError:
@@ -214,7 +226,7 @@ def cmd_evaluate(args) -> int:
     fars = _parse_list("--fars", args.fars, float, ev.check_fars)
     ranks = _parse_list("--ranks", args.ranks, int, ev.check_ranks)
     scores, gallery_ids, probe_ids = templates.read_score_matrix(args.scores)
-    rows = templates.read_manifest(args.manifest)
+    rows = _read_split_manifest(args.manifest)
     try:
         subject_of_template = templates.template_subjects(rows)
     except ValueError as exc:
@@ -297,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="media_path,label per line")
     p.add_argument("--images-root", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--width-divisor", type=int, default=1)
+    p.add_argument("--width-divisor", type=_at_least_one, default=1)
     p.add_argument("--batch-size", type=_at_least_one, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--iters", type=_at_least_one, default=TrainConfig.max_iters)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--hflip", action="store_true")
     p.add_argument("--random-crop", action="store_true")
-    p.add_argument("--crop-size", type=int, default=TrainConfig.crop_size)
+    p.add_argument("--crop-size", type=_at_least_one, default=TrainConfig.crop_size)
     p.add_argument("--float32", action="store_true")
     p.set_defaults(fn=cmd_train_cnn)
 

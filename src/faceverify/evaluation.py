@@ -30,7 +30,6 @@ __all__ = [
     "check_fars",
     "check_ranks",
     "RocCurve",
-    "CmcResult",
     "roc",
     "tar_at_far",
     "cmc",
@@ -74,17 +73,6 @@ class RocCurve:
     tar: np.ndarray
 
 
-@dataclass(frozen=True)
-class CmcResult:
-    """accuracies[k-1] = fraction of probes whose match is within rank k."""
-
-    accuracies: np.ndarray
-
-    def rank(self, k: int) -> float:
-        check_ranks((k,))
-        return float(self.accuracies[k - 1])
-
-
 def roc(scores, labels) -> RocCurve:
     """Empirical ROC from scores and +-1 labels."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -115,8 +103,9 @@ def tar_at_far(curve: RocCurve, far: float) -> float:
     return float(curve.tar[eligible].max())
 
 
-def cmc(sim_matrix, gallery_subjects, probe_subjects) -> CmcResult:
-    """Closed-set identification accuracy per rank.
+def cmc(sim_matrix, gallery_subjects, probe_subjects) -> np.ndarray:
+    """Closed-set identification accuracy per rank: element k-1 is the
+    fraction of probes whose match is within rank k.
 
     rank(probe) = 1 + number of non-matching gallery templates whose
     score is >= the best matching-subject score (ties pessimistic).
@@ -138,7 +127,7 @@ def cmc(sim_matrix, gallery_subjects, probe_subjects) -> CmcResult:
     best = np.where(same, sim, -np.inf).max(axis=0)
     ranks = 1 + ((sim >= best) & ~same).sum(axis=0)
     ks = np.arange(1, len(gallery_subjects) + 1)
-    return CmcResult((ranks[None, :] <= ks[:, None]).mean(axis=1))
+    return (ranks[None, :] <= ks[:, None]).mean(axis=1)
 
 
 def aggregate_splits(values) -> tuple[float, float]:
@@ -151,7 +140,7 @@ def aggregate_splits(values) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def emit_curves(curve: RocCurve, cmc_result: CmcResult, roc_path, cmc_path) -> None:
+def emit_curves(curve: RocCurve, accuracies: np.ndarray, roc_path, cmc_path) -> None:
     """Write plot-ready (far, tar) and (rank, accuracy) CSV tables, \\r\\n-terminated."""
     # TAR takes at most |pos| + 1 values, so each distinct one is formatted once
     distinct, inverse = np.unique(curve.tar, return_inverse=True)
@@ -159,7 +148,7 @@ def emit_curves(curve: RocCurve, cmc_result: CmcResult, roc_path, cmc_path) -> N
     roc_rows = zip(curve.far.tolist(), tar_text.tolist())
     roc_text = "far,tar\r\n" + "".join("%.17g,%s\r\n" % row for row in roc_rows)
     write_file(roc_path, [roc_text.encode("utf-8")])
-    cmc_rows = enumerate(cmc_result.accuracies.tolist(), start=1)
+    cmc_rows = enumerate(accuracies.tolist(), start=1)
     cmc_text = "rank,accuracy\r\n" + "".join("%d,%.17g\r\n" % row for row in cmc_rows)
     write_file(cmc_path, [cmc_text.encode("utf-8")])
 
@@ -170,11 +159,13 @@ def evaluate_split(
     """ROC and CMC of one gallery x probe score matrix, with a pair
     labelled +1 where gallery and probe subjects agree.  Writes both
     curve tables and returns ({far: TAR}, {k: rank-k accuracy}); a rank
-    past the gallery size reads the last rank."""
+    past the gallery size reads the last rank, and a rank below 1 fails
+    before anything is written."""
+    check_ranks(ranks)
     labels = np.where(np.asarray(gallery_subjects)[:, None] == np.asarray(probe_subjects)[None, :], 1, -1)
     curve = roc(np.ravel(scores), labels.ravel())
-    result = cmc(scores, gallery_subjects, probe_subjects)
-    emit_curves(curve, result, roc_path, cmc_path)
+    by_rank = cmc(scores, gallery_subjects, probe_subjects)
+    emit_curves(curve, by_rank, roc_path, cmc_path)
     tars = {f: tar_at_far(curve, f) for f in fars}
-    accuracies = {k: result.rank(min(k, len(result.accuracies))) for k in ranks}
+    accuracies = {k: float(by_rank[min(k, len(by_rank)) - 1]) for k in ranks}
     return tars, accuracies

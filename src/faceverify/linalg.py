@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "make_rng",
     "derive_seed",
-    "gaussian_matrix",
     "l2_normalize",
     "check_finite_rows",
 ]
@@ -41,13 +40,6 @@ def derive_seed(root_seed: int, stream: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(stream,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Matrix of i.i.d. standard-normal entries, row-major draw order."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"dimensions must be >= 1, got ({rows}, {cols})")
-    return rng.standard_normal((rows, cols))
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from faceverify.linalg import check_finite_rows, gaussian_matrix, l2_normalize, make_rng
+from faceverify.linalg import check_finite_rows, l2_normalize, make_rng
 
 __all__ = [
     "JointBayesModel",
@@ -78,9 +78,6 @@ class JointBayesModel:
     def dim(self) -> int:
         return self.M.shape[0]
 
-    def copy(self) -> "JointBayesModel":
-        return JointBayesModel(self.M.copy(), self.B.copy(), self.b)
-
 
 @dataclass
 class MetricTrainConfig:
@@ -94,8 +91,9 @@ class MetricTrainConfig:
     def __post_init__(self):
         # zero rates are allowed: they turn training into a pure
         # violation census without moving the model
-        if self.gamma < 0 or self.gamma_b < 0:
-            raise ValueError("learning rates must be non-negative")
+        for name, rate in (("gamma", self.gamma), ("gamma_b", self.gamma_b)):
+            if not 0.0 <= rate < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be a finite number >= 0, got {rate}")
         if self.neg_to_pos_ratio < 1:
             raise ValueError("negative:positive ratio must be >= 1")
         if self.epochs < 1:
@@ -158,8 +156,8 @@ def init_model(d: int, rng: np.random.Generator) -> JointBayesModel:
     """Random Gram-matrix start: M = V V^T, B = W W^T, b = 0."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    v = gaussian_matrix(rng, d, d)
-    w = gaussian_matrix(rng, d, d)
+    v = rng.standard_normal((d, d))
+    w = rng.standard_normal((d, d))
     return JointBayesModel(v @ v.T, w @ w.T, 0.0)
 
 
@@ -344,6 +342,8 @@ class SyntheticEmbeddingModel:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for cov in (self.between_cov, self.within_cov):
+            if np.isscalar(cov) and not np.isfinite(cov):
+                raise ValueError(f"covariance scale must be finite, got {cov}")
             if np.isscalar(cov) and cov < 0:
                 raise ValueError(f"covariance scale must be >= 0, got {cov}")
 

@@ -6,50 +6,9 @@ architecture; small enough to gradient-check every layer against
 finite differences.
 """
 
-from faceverify.micronet.layers import (
-    Conv3x3,
-    CrossChannelNorm,
-    Dense,
-    Dropout,
-    GlobalAvgPool,
-    MaxPool2x2,
-    PReLU,
-    SoftmaxXent,
-    softmax,
-)
-from faceverify.micronet.network import (
-    LayerSpec,
-    Network,
-    NetworkSpec,
-    build_face_net,
-    extract_features,
-)
-from faceverify.micronet.training import (
-    TrainConfig,
-    TrainResult,
-    augment_batch,
-    learning_rate_at,
-    train,
-)
+from faceverify.micronet import layers, network, training
+from faceverify.micronet.layers import *
+from faceverify.micronet.network import *
+from faceverify.micronet.training import *
 
-__all__ = [
-    "Conv3x3",
-    "CrossChannelNorm",
-    "Dense",
-    "Dropout",
-    "GlobalAvgPool",
-    "MaxPool2x2",
-    "PReLU",
-    "SoftmaxXent",
-    "softmax",
-    "LayerSpec",
-    "Network",
-    "NetworkSpec",
-    "build_face_net",
-    "extract_features",
-    "TrainConfig",
-    "TrainResult",
-    "augment_batch",
-    "learning_rate_at",
-    "train",
-]
+__all__ = layers.__all__ + network.__all__ + training.__all__

@@ -53,12 +53,11 @@ LAYER_KINDS = {
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer as a checkpoint records it: its kind, its name and the
-    value of each field its class declares, in checkpoint order."""
+    """One layer's kind and name; a checkpoint reads the values of the
+    fields its class declares from the layer itself."""
 
     kind: str
     name: str
-    args: dict
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,10 @@ class Network:
 
     def __init__(self, named_layers, input_shape: tuple, num_classes: int):
         named_layers = list(named_layers)  # read twice: layers, then spec
+        if any(size < 1 for size in input_shape):
+            raise ValueError(f"input shape {tuple(input_shape)} has a size below 1")
         self.layers: list[Layer] = [layer for _, layer in named_layers]
-        specs = (
-            LayerSpec(layer.kind, name, {f: getattr(layer, f) for f in layer.fields}) for name, layer in named_layers
-        )
+        specs = (LayerSpec(layer.kind, name) for name, layer in named_layers)
         self.spec = NetworkSpec(tuple(specs), tuple(input_shape), num_classes)
         params = [value for _, _, value, _, _ in self.param_items()]
         self.dtype = params[0].dtype.type if params else np.float64
@@ -164,13 +163,15 @@ class Network:
 def _walkers() -> int:
     """Concurrent walks for features: the cores this process may run on,
     divided by OpenBLAS's thread count, which is the first whole number
-    of at least 1 in OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else one
-    thread per core (so an unpinned BLAS leaves one walker)."""
+    of at least 1 in OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS, then
+    OMP_NUM_THREADS (OpenBLAS's own order), else one thread per core (so
+    an unpinned BLAS leaves one walker)."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    counts = (os.environ.get(var, "").strip() for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    variables = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    counts = (os.environ.get(var, "").strip() for var in variables)
     blas_threads = next((int(v) for v in counts if v.isdecimal() and int(v) >= 1), cores)
     return max(1, cores // blas_threads)
 
@@ -190,6 +191,9 @@ def build_face_net(
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
+    for name, value in (("in_channels", in_channels), ("input_size", input_size), ("width_divisor", width_divisor)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     layers: list[tuple[str, Layer]] = []
     prev = in_channels
     conv_idx = 0

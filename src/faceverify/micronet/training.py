@@ -36,8 +36,11 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    losses: list[float] = field(default_factory=list)
-    iterations: int = 0
+    losses: list[float] = field(default_factory=list)  # one per iteration
+
+    @property
+    def iterations(self) -> int:
+        return len(self.losses)
 
 
 def learning_rate_at(cfg: TrainConfig, iteration: int) -> float:
@@ -116,5 +119,4 @@ def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> Trai
         net.backward(labels[idx])
         optimizer.step(learning_rate_at(cfg, it))
         result.losses.append(loss)
-        result.iterations = it + 1
     return result

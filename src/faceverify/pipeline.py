@@ -27,7 +27,7 @@ from faceverify.metric import (
     generate_synthetic,
     train_metric,
 )
-from faceverify.storage import read_features, write_features, write_file, write_metric_model
+from faceverify.storage import open_text, read_features, write_features, write_file, write_metric_model
 from faceverify.templates import (
     SCORERS,
     ManifestRow,
@@ -270,7 +270,7 @@ def load_config(path) -> PipelineConfig:
     """Read and validate a config file; an unknown section or key, or a
     value its field cannot take, fails with an error naming the file."""
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         parser.read_file(fh)
     if parser.defaults():
         raise ValueError(f"{path}: unknown section [{parser.default_section}]")

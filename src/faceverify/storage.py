@@ -18,6 +18,7 @@ Three little-endian binary formats, each opened by a four-byte magic:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import struct
@@ -32,6 +33,7 @@ from faceverify.micronet.layers import Layer
 from faceverify.micronet.network import LAYER_KINDS, Network
 
 __all__ = [
+    "open_text",
     "write_file",
     "write_checkpoint",
     "read_checkpoint",
@@ -64,6 +66,17 @@ def write_file(path, chunks) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Open path for reading as UTF-8 text.  Bytes that are not UTF-8,
+    met anywhere while the block reads, fail as ValueError naming path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text") from exc
 
 
 def _check_left(fh, size: int, path, what: str) -> None:
@@ -103,11 +116,11 @@ def _spec_to_text(net: Network) -> str:
         f"num_classes={net.spec.num_classes}",
         f"input_mean={net.input_mean!r}",
     ]
-    for spec in net.spec.layers:
+    for spec, layer in zip(net.spec.layers, net.layers):
         parts = [f"layer={spec.kind}"]
         if spec.name:
             parts.append(f"name={spec.name}")
-        parts += [f"{f}={value!r}" for f, value in spec.args.items()]
+        parts += [f"{f}={getattr(layer, f)!r}" for f in layer.fields]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -211,7 +224,7 @@ def read_features(path) -> tuple[np.ndarray, list[str]]:
         _expect_end(fh, path, "feature data")
         feats = np.frombuffer(raw, dtype="<f4").reshape(count, dim).astype(np.float64)
     check_finite_rows(feats, f"{path}:")
-    with open(_ids_path(path), "r", encoding="utf-8") as fh:
+    with open_text(_ids_path(path)) as fh:
         media_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
     if len(media_ids) != count:
         raise ValueError(f"{path}: sidecar lists {len(media_ids)} ids for {count} rows")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel, cosine_matrix, similarity_matrix
-from faceverify.storage import read_features, write_file
+from faceverify.storage import open_text, read_features, write_file
 
 __all__ = [
     "SCORERS",
@@ -48,12 +49,12 @@ class ManifestRow:
     split: str = "0"
 
 
-MANIFEST_HEADER = ["template_id", "subject_id", "media_path", "role", "split"]
+MANIFEST_HEADER = [f.name for f in fields(ManifestRow)]
 
 
 def read_manifest(path) -> list[ManifestRow]:
     rows: list[ManifestRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != MANIFEST_HEADER:
@@ -69,8 +70,8 @@ def read_manifest(path) -> list[ManifestRow]:
 
 def write_manifest(path, rows: list[ManifestRow]) -> None:
     buf = io.StringIO()
-    body = ([r.template_id, r.subject_id, r.media_path, r.role, r.split] for r in rows)
-    csv.writer(buf).writerows([MANIFEST_HEADER, *body])
+    # attrgetter, not dataclasses.astuple, which deep-copies every field
+    csv.writer(buf).writerows([MANIFEST_HEADER, *map(operator.attrgetter(*MANIFEST_HEADER), rows)])
     write_file(path, [buf.getvalue().encode("utf-8")])
 
 
@@ -210,7 +211,7 @@ def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
     """(scores, gallery ids, probe ids) of a write_score_matrix file; a
     short row or a score that is not a finite number fails naming
     path:line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "gallery_id":

@@ -5,6 +5,7 @@ lines.  Expected values marked as golden were recorded from the first
 verified run in this environment and are deterministic given the seeds.
 """
 
+import copy
 import math
 import time
 from pathlib import Path
@@ -190,7 +191,7 @@ def test_criterion_3_metric_update_correctness():
 
             model = JointBayesModel(0.1 * (m0 + m0.T), 0.1 * np.eye(d), 0.0)
             model.b = distance(model, x_i, x_j) + (0.5 if y == 1 else -0.5)
-            before = model.copy()
+            before = copy.deepcopy(model)
             assert hinge_step(model, x_i, x_j, y, cfg)
 
             def hinge():
@@ -206,7 +207,7 @@ def test_criterion_3_metric_update_correctness():
             b_arr = np.array([before.b])
 
             def hinge_b():
-                shifted = before.copy()
+                shifted = copy.deepcopy(before)
                 shifted.b = float(b_arr[0])
                 return max(1.0 - y * (shifted.b - distance(shifted, x_i, x_j)), 0.0)
 
@@ -217,7 +218,7 @@ def test_criterion_3_metric_update_correctness():
         from faceverify.metric import JointBayesModel
 
         model = JointBayesModel(np.zeros((d, d)), np.zeros((d, d)), 5.0)
-        frozen = model.copy()
+        frozen = copy.deepcopy(model)
         x = np.zeros(d)
         x2 = np.zeros(d)
         assert not hinge_step(model, x, x2, 1, cfg)  # y*(b-d) = 5 > 1
@@ -274,8 +275,7 @@ def test_criterion_4_roc_cmc_oracle_equivalence():
         gallery = [f"s{i}" for i in range(n_g)]
         probes = [f"s{int(rng.integers(0, n_g))}" for _ in range(n_p)]
         sim = np.round(rng.standard_normal((n_g, n_p)), 1)
-        result = cmc(sim, gallery, probes)
-        npt.assert_array_equal(result.accuracies, brute_force_cmc_curve(sim, gallery, probes))
+        npt.assert_array_equal(cmc(sim, gallery, probes), brute_force_cmc_curve(sim, gallery, probes))
     elapsed = time.perf_counter() - t0
     report_line(4, "ROC/CMC oracle equivalence", elapsed < 30.0)
 

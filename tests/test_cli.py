@@ -299,6 +299,27 @@ class TestStageCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"pool: error: {manifest} with {features}: {conflict}"
 
+    @pytest.mark.parametrize("command", ["evaluate", "pool"])
+    def test_evaluate_and_pool_reject_a_medium_in_gallery_and_probe(self, synth_run, tmp_path, capsys, command):
+        # a probe medium enrolled in its subject's gallery template would inflate TAR
+        split = synth_run / "split00"
+        manifest = tmp_path / "manifest.csv"
+        text = (split / "manifest.csv").read_text()
+        subject, media = next(line for line in text.splitlines() if ",probe," in line).split(",")[1:3]
+        manifest.write_text(text + f"g_{subject},{subject},{media},gallery,0\n")
+        out = tmp_path / "out"
+        if command == "evaluate":
+            argv = ["evaluate", "--scores", str(split / "scores.csv"), "--manifest", str(manifest),
+                    "--out-dir", str(out)]
+        else:
+            argv = ["pool", "--features", str(synth_run / "features.jvfe"), "--manifest", str(manifest),
+                    "--role", "gallery", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"{command}: error: {manifest}: split 0: gallery and probe share media (e.g. {media!r})\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [manifest, synth_run]  # nothing written
+
     def test_pool_names_manifest_and_missing_role(self, synth_run, tmp_path, capsys):
         manifest = synth_run / "split00" / "manifest.csv"
         features = synth_run / "features.jvfe"
@@ -362,6 +383,19 @@ class TestStageCommands:
         ])
         assert rc == 1
         assert capsys.readouterr().err == f"train-metric: error: epochs must be >= 1, got {epochs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--gamma-b", "inf"), ("--gamma", "-1")])
+    def test_train_metric_bad_rate_fails_before_writing(self, synth_run, tmp_path, capsys, flag, value):
+        out = tmp_path / "metric.jvjb"
+        rc = main([
+            "train-metric", "--features", str(synth_run / "features.jvfe"),
+            "--manifest", str(synth_run / "media.csv"), "--out", str(out), flag, value,
+        ])
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        message = f"{name} must be a finite number >= 0, got {float(value)}"
+        assert capsys.readouterr().err == f"train-metric: error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scorer, probe_dim, model_dim, dims", [
@@ -480,6 +514,23 @@ class TestTrainExtractCommands:
         assert capsys.readouterr().err.endswith(f"train-cnn: error: argument --iters: must be at least 1, got {value}\n")
         assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
 
+    @pytest.mark.parametrize("flag", ["--width-divisor", "--crop-size"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_net_size_below_one_names_the_flag(self, tmp_path, capsys, flag, value):
+        # --width-divisor 0 divided by zero, -1 built one-channel convs
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("a.pgm,c0\na.pgm,c1\n")
+        out = tmp_path / "out.jvnt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out),
+                  "--iters", "1", flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"train-cnn: error: argument {flag}: must be at least 1, got {value}\n")
+        assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
+
     @pytest.fixture
     def net8(self, tmp_path):
         """A checkpoint of a net that takes 8x8 gray inputs."""
@@ -492,15 +543,18 @@ class TestTrainExtractCommands:
     @pytest.mark.parametrize("defect, message", [
         ("nan-weight", "conv11 weights holds NaN or inf"),
         ("oversized-layer", ""),  # numpy's MemoryError text follows the file name
+        ("zero-input", "input shape (0, 0, 1) has a size below 1"),  # extracted NaN features before
     ])
     def test_extract_names_a_bad_checkpoint_before_writing(self, net8, tmp_path, capsys, defect, message):
         if defect == "nan-weight":
             net = read_checkpoint(net8)
             net.layers[0].weights[0, 0, 0, 0] = np.nan
             write_checkpoint(net8, net)
-        else:
+        elif defect == "oversized-layer":
             replace_spec_text(net8, "name=conv11 in_channels=1 out_channels=2",
                               "name=conv11 in_channels=3000000 out_channels=3000000")
+        else:
+            replace_spec_text(net8, "input=8,8,1", "input=0,0,1")
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
         pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
@@ -583,6 +637,35 @@ def test_label_manifest_without_comma_names_line(tmp_path, capsys):
     assert f"{manifest}:2: expected media_path,label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "reader", ["landmarks", "label-manifest", "extract-list", "template-manifest", "score-matrix", "ids", "config"]
+)
+def test_text_input_that_is_not_utf8_names_the_file(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ok\n\xff\n")
+    out = tmp_path / "out"
+    checkpoint, scores, features = tmp_path / "net.jvnt", tmp_path / "scores.csv", tmp_path / "f.jvfe"
+    write_checkpoint(checkpoint, build_face_net(num_classes=2, input_size=8, width_divisor=16))
+    scores.write_text("gallery_id,p\ng,0.5\n")
+    write_features(features, np.ones((1, 2)), ["m"])
+    argv = {
+        "landmarks": ["align", "--landmarks", str(bad), "--images", str(tmp_path), "--out", str(out)],
+        "label-manifest": ["train-cnn", "--manifest", str(bad), "--images-root", str(tmp_path), "--out", str(out)],
+        "extract-list": ["extract", "--model", str(checkpoint), "--images", str(tmp_path), "--list", str(bad),
+                         "--out", str(out)],
+        "template-manifest": ["evaluate", "--scores", str(scores), "--manifest", str(bad), "--out-dir", str(out)],
+        "score-matrix": ["evaluate", "--scores", str(bad), "--manifest", str(bad), "--out-dir", str(out)],
+        "ids": ["pool", "--features", str(features), "--manifest", str(bad), "--out", str(out)],
+        "config": ["report", "--config", str(bad), "--out-dir", str(out)],
+    }[reader]
+    if reader == "ids":
+        bad = Path(f"{features}.ids")
+        bad.write_bytes(b"\xff\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{argv[0]}: error: {bad}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_report_matches_golden(self, tmp_path):
         out = tmp_path / "demo"
@@ -663,9 +746,14 @@ class TestReportCommand:
             ("[source]\nsynth_subjects = 0\n", "num_subjects must be >= 1, got 0"),
             ("[source]\nsynth_dim = 0\n", "dim must be >= 1, got 0"),
             ("[source]\nsynth_s_mu = -1\n", "covariance scale must be >= 0, got -1.0"),
+            ("[source]\nsynth_s_mu = nan\n", "covariance scale must be finite, got nan"),
+            ("[source]\nsynth_s_eps = inf\n", "covariance scale must be finite, got inf"),
+            ("[metric]\ngamma = nan\n", "gamma must be a finite number >= 0, got nan"),
+            ("[metric]\ngamma_b = inf\n", "gamma_b must be a finite number >= 0, got inf"),
         ],
         ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int",
-             "empty-far", "rank-0", "far-2", "epochs-0", "subjects-0", "dim-0", "s-mu-negative"],
+             "empty-far", "rank-0", "far-2", "epochs-0", "subjects-0", "dim-0", "s-mu-negative",
+             "s-mu-nan", "s-eps-inf", "gamma-nan", "gamma-b-inf"],
     )
     def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.ini"

@@ -137,15 +137,14 @@ class TestTarAtFar:
 class TestCmc:
     def test_diagonal_dominant_rank1(self):
         sim = np.eye(5) + 0.01
-        result = cmc(sim, [f"s{i}" for i in range(5)], [f"s{i}" for i in range(5)])
-        assert result.rank(1) == 1.0
+        assert cmc(sim, [f"s{i}" for i in range(5)], [f"s{i}" for i in range(5)])[0] == 1.0
 
     def test_reversed_worst_case(self):
         # correct match scored strictly lowest among 4 gallery entries
         sim = np.array([[0.9], [0.8], [0.7], [0.1]])
-        result = cmc(sim, ["a", "b", "c", "d"], ["d"])
-        assert result.rank(1) == 0.0
-        assert result.rank(4) == 1.0
+        accuracies = cmc(sim, ["a", "b", "c", "d"], ["d"])
+        assert accuracies[0] == 0.0  # rank 1
+        assert accuracies[3] == 1.0  # rank 4
 
     def test_matches_brute_force(self):
         rng = make_rng(4)
@@ -154,24 +153,23 @@ class TestCmc:
             gallery_subjects = [f"s{i}" for i in range(n_g)]
             probe_subjects = [f"s{int(rng.integers(0, n_g))}" for _ in range(n_p)]
             sim = np.round(rng.standard_normal((n_g, n_p)), 1)  # force ties
-            result = cmc(sim, gallery_subjects, probe_subjects)
             expected = brute_force_cmc(sim, gallery_subjects, probe_subjects)
-            npt.assert_allclose(result.accuracies, expected, atol=1e-15)
+            npt.assert_allclose(cmc(sim, gallery_subjects, probe_subjects), expected, atol=1e-15)
         # subjects repeat in the gallery: a probe's best match is the
         # highest of its subject's templates
         gallery_subjects = [f"s{int(k)}" for k in rng.integers(0, 6, 24)]
         probe_subjects = [gallery_subjects[int(k)] for k in rng.integers(0, 24, 60)]
         assert max(gallery_subjects.count(s) for s in probe_subjects) > 1
         sim = np.round(rng.standard_normal((24, 60)), 1)
-        result = cmc(sim, gallery_subjects, probe_subjects)
-        npt.assert_array_equal(result.accuracies, brute_force_cmc(sim, gallery_subjects, probe_subjects))
+        expected = brute_force_cmc(sim, gallery_subjects, probe_subjects)
+        npt.assert_array_equal(cmc(sim, gallery_subjects, probe_subjects), expected)
 
     def test_non_decreasing_and_closed_set_tops_out(self):
         rng = make_rng(5)
         sim = rng.standard_normal((8, 30))
         gallery = [f"s{i}" for i in range(8)]
         probes = [f"s{int(rng.integers(0, 8))}" for _ in range(30)]
-        acc = cmc(sim, gallery, probes).accuracies
+        acc = cmc(sim, gallery, probes)
         assert np.all(np.diff(acc) >= 0)
         assert acc[-1] == 1.0
 
@@ -183,16 +181,15 @@ class TestCmc:
     def test_pessimistic_ties(self):
         # non-match ties the best match: counted as ranked ahead
         sim = np.array([[0.5], [0.5]])
-        result = cmc(sim, ["right", "wrong"], ["right"])
-        assert result.rank(1) == 0.0
-        assert result.rank(2) == 1.0
+        npt.assert_array_equal(cmc(sim, ["right", "wrong"], ["right"]), [0.0, 1.0])
 
     @pytest.mark.parametrize("k", [0, -1])
-    def test_rank_below_one_rejected(self, k):
-        # accuracies[k - 1] would read from the end
-        result = cmc(np.eye(3), ["a", "b", "c"], ["a", "b", "c"])
+    def test_rank_below_one_rejected(self, k, tmp_path):
+        # evaluate_split's accuracies[k - 1] would read from the end
+        subjects = ["a", "b", "c"]
         with pytest.raises(ValueError, match=f"rank must be at least 1, got {k}"):
-            result.rank(k)
+            evaluate_split(np.eye(3), subjects, subjects, (0.5,), (1, k), tmp_path / "roc.csv", tmp_path / "cmc.csv")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
@@ -245,11 +242,11 @@ class TestEmitCurves:
         sim = rng.standard_normal((4, 9))
         gallery = ["a", "b", "c", "d"]
         probes = [gallery[int(rng.integers(0, 4))] for _ in range(9)]
-        result = cmc(sim, gallery, probes)
+        accuracies = cmc(sim, gallery, probes)
 
         roc_path = tmp_path / "roc.csv"
         cmc_path = tmp_path / "cmc.csv"
-        emit_curves(curve, result, roc_path, cmc_path)
+        emit_curves(curve, accuracies, roc_path, cmc_path)
 
         header, rows = read_table(roc_path)
         assert header == ["far", "tar"]
@@ -259,9 +256,9 @@ class TestEmitCurves:
 
         header, rows = read_table(cmc_path)
         assert header == ["rank", "accuracy"]
-        assert rows.shape[0] == len(result.accuracies)
-        npt.assert_array_equal(rows[:, 0], np.arange(1, len(result.accuracies) + 1))
-        npt.assert_array_equal(rows[:, 1], result.accuracies)
+        assert rows.shape[0] == len(accuracies)
+        npt.assert_array_equal(rows[:, 0], np.arange(1, len(accuracies) + 1))
+        npt.assert_array_equal(rows[:, 1], accuracies)
 
 
 def test_evaluate_split(tmp_path):

@@ -2,27 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from faceverify.linalg import derive_seed, gaussian_matrix, l2_normalize, make_rng
-
-
-class TestGaussianMatrix:
-    def test_determinism(self):
-        a = gaussian_matrix(make_rng(42), 4, 5)
-        b = gaussian_matrix(make_rng(42), 4, 5)
-        npt.assert_array_equal(a, b)
-
-    def test_shape(self):
-        assert gaussian_matrix(make_rng(0), 3, 4).shape == (3, 4)
-
-    def test_moments(self):
-        # CLT bounds at 1e5 samples
-        m = gaussian_matrix(make_rng(7), 500, 200)
-        assert abs(m.mean()) < 0.02
-        assert abs(m.var() - 1.0) < 0.05
-
-    def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            gaussian_matrix(make_rng(0), 0, 3)
+from faceverify.linalg import derive_seed, l2_normalize, make_rng
 
 
 class TestL2Normalize:

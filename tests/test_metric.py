@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 import warnings
@@ -157,7 +158,7 @@ class TestHingeStep:
     def test_satisfied_pair_untouched(self):
         # margin comfortably met: y=+1 and b - d = 2
         model = JointBayesModel(np.zeros((2, 2)), np.zeros((2, 2)), 2.0)
-        before = model.copy()
+        before = copy.deepcopy(model)
         cfg = MetricTrainConfig(gamma=0.1, gamma_b=0.1)
         violated = hinge_step(model, np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1, cfg)
         assert not violated
@@ -191,7 +192,7 @@ class TestHingeStep:
         def hinge(m):
             return max(1.0 - y * (m.b - distance(m, x_i, x_j)), 0.0)
 
-        before = model.copy()
+        before = copy.deepcopy(model)
         violated = hinge_step(model, x_i, x_j, y, cfg)
         assert violated
 
@@ -349,7 +350,7 @@ class TestTrainMetric:
         model, violations = train_metric(feats, labels, cfg)
         # retrain from the converged model: no pair may update it
         sampler = PairSampler(labels, make_rng(62), cfg)
-        frozen = model.copy()
+        frozen = copy.deepcopy(model)
         batch = sampler.epoch()
         for i, j, y in zip(batch.i, batch.j, batch.y):
             assert not hinge_step(model, feats[i], feats[j], int(y), cfg)
@@ -501,7 +502,7 @@ class TestMarginScreen:
             b = int(y) + _distance(model, feats[i], feats[j])
             model.b = b + (k % 5 - 2) * np.spacing(b)
             skipped = not _undecided(_screen_cache(feats, r2, model), feats, i[None], j[None], y[None])[0]
-            if hinge_step(model.copy(), feats[i], feats[j], int(y), cfg):
+            if hinge_step(copy.deepcopy(model), feats[i], feats[j], int(y), cfg):
                 violators += 1
                 assert not skipped, (i, j, y)
         assert 100 < violators < 300  # the pairs fall on both sides of the margin

@@ -110,6 +110,19 @@ class TestStockArchitecture:
         with pytest.raises(ValueError):
             build_face_net(num_classes=1)
 
+    @pytest.mark.parametrize("arg", ["in_channels", "input_size", "width_divisor"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_size_below_one_names_the_argument(self, arg, value):
+        # width_divisor=-1 built one-channel convs; 0 divided by zero
+        with pytest.raises(ValueError, match=f"^{arg} must be at least 1, got {value}$"):
+            build_face_net(num_classes=3, **{arg: value})
+
+    @pytest.mark.parametrize("shape", [(0, 0, 1), (4, 4, 0), (4, -1, 1)])
+    def test_network_rejects_an_input_size_below_one(self, shape):
+        pairs = [("gap", GlobalAvgPool()), ("fc", Dense(1, 3)), ("cost", SoftmaxXent())]
+        with pytest.raises(ValueError, match=re.escape(f"input shape {shape} has a size below 1")):
+            Network(pairs, shape, 3)
+
 
 @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
 def test_layer_class_is_the_one_source_of_its_fields(kind):
@@ -178,6 +191,17 @@ class TestForward:
 
 # Workers forced onto features' thread pool whatever the machine's cores.
 POOL_WORKERS = 3
+
+
+def set_blas_threads(monkeypatch, openblas, goto, omp):
+    """Four cores, and OpenBLAS's three thread-count variables set to the
+    given texts (unset for None)."""
+    monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("GOTO_NUM_THREADS", goto), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
 
 
 class TestStreamingFeatures:
@@ -253,14 +277,17 @@ class TestStreamingFeatures:
     )
     def test_walkers_share_the_cores_with_blas_threads(self, monkeypatch, openblas, omp, walkers):
         # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS, then
-        # OMP_NUM_THREADS, else one thread per core; counts that are not
-        # whole numbers of at least 1 are passed over
-        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-            if value is None:
-                monkeypatch.delenv(var, raising=False)
-            else:
-                monkeypatch.setenv(var, value)
+        # GOTO_NUM_THREADS, then OMP_NUM_THREADS, else one thread per core;
+        # counts that are not whole numbers of at least 1 are passed over
+        set_blas_threads(monkeypatch, openblas, None, omp)
+        assert network._walkers() == walkers
+
+    @pytest.mark.parametrize(
+        "openblas, goto, omp, walkers",
+        [(None, "2", "1", 2), (None, "1", None, 4), ("4", "1", None, 1), (None, "x", "2", 2), (None, "0", None, 1)],
+    )
+    def test_walkers_read_goto_num_threads_between_openblas_and_omp(self, monkeypatch, openblas, goto, omp, walkers):
+        set_blas_threads(monkeypatch, openblas, goto, omp)
         assert network._walkers() == walkers
 
     def test_empty_batch(self):

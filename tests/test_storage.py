@@ -51,6 +51,22 @@ class TestCheckpoint:
         for (l1, n1, v1, _, _), (l2, n2, v2, _, _) in zip(net.param_items(), back.param_items()):
             npt.assert_array_equal(v1, v2)
 
+    def test_records_the_current_field_values_of_each_layer(self, tmp_path):
+        # a field set after construction is the value the layer computes
+        # with, so it is the value the checkpoint must record
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        layer = dict(zip((spec.name for spec in net.spec.layers), net.layers))
+        layer["dropout"].rate = 0.1
+        layer["norm1"].alpha = 0.002
+        layer["norm2"].k = 1.5
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        assert "name=dropout rate=0.1" in spec_text(path)
+        back = read_checkpoint(path)
+        assert back.spec == net.spec
+        for before, after in zip(net.layers, back.layers, strict=True):
+            assert {f: getattr(after, f) for f in after.fields} == {f: getattr(before, f) for f in before.fields}
+
     def test_roundtrip_forward_identical(self, tmp_path):
         net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
         net.initialize(make_rng(1), 0.1)
