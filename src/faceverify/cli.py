@@ -91,18 +91,6 @@ def _load_images(root: Path, media: list[str], source) -> np.ndarray:
 
 
 def cmd_train_cnn(args) -> int:
-    rows = _read_label_manifest(args.manifest)
-    classes = sorted({label for _, label in rows})
-    class_index = {c: i for i, c in enumerate(classes)}
-    images = _load_images(Path(args.images_root), [m for m, _ in rows], args.manifest)
-    labels = np.array([class_index[label] for _, label in rows])
-    net = build_face_net(
-        num_classes=len(classes),
-        in_channels=images.shape[3],
-        input_size=args.crop_size if args.random_crop else images.shape[1],
-        width_divisor=args.width_divisor,
-        dtype=np.float32 if args.float32 else np.float64,
-    )
     cfg = TrainConfig(
         batch_size=args.batch_size,
         learning_rate=args.lr,
@@ -111,6 +99,21 @@ def cmd_train_cnn(args) -> int:
         hflip=args.hflip,
         random_crop=args.random_crop,
         crop_size=args.crop_size,
+    )
+    rows = _read_label_manifest(args.manifest)
+    classes = sorted({label for _, label in rows})
+    class_index = {c: i for i, c in enumerate(classes)}
+    images = _load_images(Path(args.images_root), [m for m, _ in rows], args.manifest)
+    labels = np.array([class_index[label] for _, label in rows])
+    h, w = images.shape[1:3]
+    if h != w and not args.random_crop:  # the net's input is square
+        raise ValueError(f"{args.manifest}: images are {h}x{w}, not square; crop them with --random-crop")
+    net = build_face_net(
+        num_classes=len(classes),
+        in_channels=images.shape[3],
+        input_size=args.crop_size if args.random_crop else h,
+        width_divisor=args.width_divisor,
+        dtype=np.float32 if args.float32 else np.float64,
     )
     result = train(net, images, labels, cfg)
     storage.write_checkpoint(args.out, net)
@@ -187,7 +190,7 @@ def cmd_score(args) -> int:
     if args.scorer == "jointbayes" and not args.model:
         print("score: --model required for jointbayes", file=sys.stderr)
         return 2
-    model = storage.read_metric_model(args.model) if args.model else None
+    model = storage.read_metric_model(args.model) if args.scorer == "jointbayes" else None
     try:
         scores = templates.score_templates(gallery, probe, args.scorer, model)
     except ValueError as exc:
@@ -274,8 +277,8 @@ def cmd_synth(args) -> int:
         synth_s_eps=args.s_eps,
     )
     out_dir = Path(args.out_dir)
-    feats, media_ids, _ = pl.synthesize_dataset(cfg, out_dir)
-    print(f"synth: {feats.shape[0]} features of dim {feats.shape[1]} -> {out_dir}")
+    pl.synthesize_dataset(cfg, out_dir)
+    print(f"synth: {args.subjects * args.samples} features of dim {args.dim} -> {out_dir}")
     return 0
 
 

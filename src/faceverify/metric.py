@@ -40,7 +40,7 @@ then screens its next 256 pairs against the updated model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -328,7 +328,8 @@ def train_metric(
 class SyntheticEmbeddingModel:
     """Generator for identity-plus-variation features: x = mu + eps with
     mu ~ N(0, between_cov) drawn once per subject and eps ~ N(0,
-    within_cov) per sample, then L2-normalized like real features."""
+    within_cov) per sample, then L2-normalized like real features.  Each
+    covariance rule is checked, and each square root kept, when it is built."""
 
     dim: int
     num_subjects: int
@@ -336,23 +337,28 @@ class SyntheticEmbeddingModel:
     between_cov: np.ndarray | float = 1.0
     within_cov: np.ndarray | float = 0.25
     seed: int = 0
+    factors: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dim", "num_subjects", "samples_per_subject"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for cov in (self.between_cov, self.within_cov):
-            if np.isscalar(cov) and not np.isfinite(cov):
-                raise ValueError(f"covariance scale must be finite, got {cov}")
-            if np.isscalar(cov) and cov < 0:
-                raise ValueError(f"covariance scale must be >= 0, got {cov}")
+        self.factors = (self._factor(self.between_cov), self._factor(self.within_cov))
+        if not any(f.any() for f in self.factors):
+            raise ValueError("between_cov and within_cov are both zero, so every sample would be zero")
 
     def _factor(self, cov) -> np.ndarray:
         if np.isscalar(cov):
+            if not np.isfinite(cov):
+                raise ValueError(f"covariance scale must be finite, got {cov}")
+            if cov < 0:
+                raise ValueError(f"covariance scale must be >= 0, got {cov}")
             return np.sqrt(float(cov)) * np.eye(self.dim)
         cov = np.asarray(cov, dtype=np.float64)
         if cov.shape != (self.dim, self.dim):
             raise ValueError(f"covariance must be {self.dim}x{self.dim}, got {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance has a NaN or inf entry")
         vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
         if vals.min() < -1e-10 * max(1.0, vals.max()):
             raise ValueError(f"covariance is not positive semi-definite (min eig {vals.min():.3e})")
@@ -362,8 +368,7 @@ class SyntheticEmbeddingModel:
 def generate_synthetic(model: SyntheticEmbeddingModel) -> tuple[np.ndarray, np.ndarray]:
     """Draw the full synthetic set; returns (features, subject labels)."""
     rng = make_rng(model.seed)
-    fb = model._factor(model.between_cov)
-    fw = model._factor(model.within_cov)
+    fb, fw = model.factors
     total = model.num_subjects * model.samples_per_subject
     feats = np.empty((total, model.dim))
     labels = np.empty(total, dtype=np.int64)
@@ -375,7 +380,4 @@ def generate_synthetic(model: SyntheticEmbeddingModel) -> tuple[np.ndarray, np.n
             feats[row] = x
             labels[row] = s
             row += 1
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate zero-norm synthetic sample; use non-zero covariances")
-    return feats / norms, labels
+    return l2_normalize(feats), labels

@@ -76,6 +76,8 @@ class Network:
 
     def __init__(self, named_layers, input_shape: tuple, num_classes: int):
         named_layers = list(named_layers)  # read twice: layers, then spec
+        if len(input_shape) != 3:
+            raise ValueError(f"input shape {tuple(input_shape)} is not (h, w, c)")
         if any(size < 1 for size in input_shape):
             raise ValueError(f"input shape {tuple(input_shape)} has a size below 1")
         self.layers: list[Layer] = [layer for _, layer in named_layers]

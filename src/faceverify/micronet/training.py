@@ -33,6 +33,10 @@ class TrainConfig:
     random_crop: bool = False
     crop_size: int = 100
 
+    def __post_init__(self):
+        if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
+
 
 @dataclass
 class TrainResult:

@@ -27,7 +27,7 @@ from faceverify.metric import (
     generate_synthetic,
     train_metric,
 )
-from faceverify.storage import open_text, read_features, write_features, write_file, write_metric_model
+from faceverify.storage import open_text, write_features, write_file, write_metric_model
 from faceverify.templates import (
     SCORERS,
     ManifestRow,
@@ -134,27 +134,20 @@ class SplitReport:
         return "\n".join(lines) + "\n"
 
 
-def synthesize_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[np.ndarray, list[str], dict]:
-    """Generate synthetic features plus a one-medium-per-template manifest."""
+def synthesize_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[Path, Path]:
+    """Write synthetic features plus a one-medium-per-template manifest;
+    returns the paths of the two files."""
     feats, labels = generate_synthetic(cfg.synthetic_model())
     out_dir.mkdir(parents=True, exist_ok=True)
     media_ids = [f"s{lbl:04d}/m{k % cfg.synth_samples:02d}" for k, lbl in enumerate(labels)]
-    write_features(out_dir / "features.jvfe", feats, media_ids)
+    paths = out_dir / "features.jvfe", out_dir / "media.csv"
+    write_features(paths[0], feats, media_ids)
     rows = [
         ManifestRow(template_id=m, subject_id=f"s{lbl:04d}", media_path=m, role="train", split="all")
         for m, lbl in zip(media_ids, labels)
     ]
-    write_manifest(out_dir / "media.csv", rows)
-    subject_of = {m: f"s{lbl:04d}" for m, lbl in zip(media_ids, labels)}
-    # re-read so the pipeline consumes exactly what later stages would
-    feats, media_ids = read_features(out_dir / "features.jvfe")
-    return feats, media_ids, subject_of
-
-
-def _load_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[np.ndarray, list[str], dict]:
-    if cfg.features_path:
-        return read_labelled_features(cfg.features_path, cfg.manifest_path)
-    return synthesize_dataset(cfg, out_dir)
+    write_manifest(paths[1], rows)
+    return paths
 
 
 def make_split_manifest(
@@ -199,7 +192,9 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_dir / "config.resolved.ini")
 
-    feats, media_ids, subject_of = _load_dataset(cfg, out_dir)
+    # a synthetic set is read back from its files, like a prebuilt one
+    source = (cfg.features_path, cfg.manifest_path) if cfg.features_path else synthesize_dataset(cfg, out_dir)
+    feats, media_ids, subject_of = read_labelled_features(*source)
     report = SplitReport(cfg.scorer, cfg.splits, {f: [] for f in cfg.fars}, {k: [] for k in cfg.ranks})
 
     for s in range(cfg.splits):

@@ -49,6 +49,8 @@ def read_pnm(path: str | os.PathLike) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
     if width < 0 or height < 0:
         raise ValueError(f"{path}: negative image size {width}x{height}")
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: empty image size {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (8-bit only)")
     pos += 1  # single whitespace byte after maxval

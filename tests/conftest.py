@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from faceverify.linalg import make_rng
+from faceverify.metric import PairSampler, hinge_step, init_model
 
 
 def make_blob_images(n=500, size=32, num_classes=10, seed=0):
@@ -76,3 +77,19 @@ def max_relative_error(analytic, numeric, floor=1e-8):
 @pytest.fixture(scope="session")
 def blob_dataset():
     return make_blob_images()
+
+
+def plain_train_metric(features, labels, cfg):
+    """train_metric as a plain loop: PairSampler epochs, and hinge_step
+    on every pair."""
+    rng = make_rng(cfg.seed)
+    model = init_model(features.shape[1], rng)
+    sampler = PairSampler(labels, rng, cfg)
+    fractions = []
+    for _ in range(cfg.epochs):
+        batch = sampler.epoch()
+        violations = 0
+        for i, j, y in zip(batch.i.tolist(), batch.j.tolist(), batch.y.tolist()):
+            violations += hinge_step(model, features[i], features[j], y, cfg)
+        fractions.append(violations / len(batch.y))
+    return model, fractions

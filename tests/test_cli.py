@@ -78,6 +78,18 @@ class TestAlignCommand:
             for x, y in frame.landmarks:
                 assert img[int(round(y)), int(round(x))] > 0.3, (name, x, y)
 
+    def test_empty_image_warns_and_the_rest_align(self, face_dir, tmp_path, capsys):
+        img_dir, lm_path = face_dir
+        (img_dir / "empty.pgm").write_bytes(b"P5\n0 0\n255\n")
+        lm_path.write_text(lm_path.read_text() + "empty.pgm," + ",".join(["7.0,9.0"] * 7) + "\n")
+        out_dir = tmp_path / "aligned"
+        rc = main(["align", "--landmarks", str(lm_path), "--images", str(img_dir), "--out", str(out_dir)])
+        assert rc == 0
+        assert "wrote 3 images, 2 warnings" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.glob("*.pgm")) == ["face0.pgm", "face1.pgm", "face2.pgm"]
+        failures = (out_dir / "align_failures.txt").read_text().splitlines()
+        assert failures[0] == f"empty.pgm,{img_dir / 'empty.pgm'}: empty image size 0x0"
+
     def test_degenerate_landmarks_warn_and_continue(self, tmp_path):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
@@ -433,6 +445,19 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"score: error: {model_path}: model data holds NaN or inf\n"
         assert not out.exists()
 
+    def test_cosine_score_reads_no_model_file(self, synth_run, tmp_path):
+        split = synth_run / "split00"
+        unreadable = tmp_path / "m.jvjb"
+        unreadable.write_bytes(b"not a model")
+        out = tmp_path / "scores.csv"
+        rc = main(["score", "--gallery", str(split / "gallery.jvfe"), "--probe", str(split / "probe.jvfe"),
+                   "--scorer", "cosine", "--model", str(unreadable), "--out", str(out)])
+        assert rc == 0
+        plain = tmp_path / "plain.csv"
+        main(["score", "--gallery", str(split / "gallery.jvfe"), "--probe", str(split / "probe.jvfe"),
+              "--scorer", "cosine", "--out", str(plain)])
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_jointbayes_score_requires_model(self, synth_run, tmp_path):
         run = synth_run
         split = run / "split00"
@@ -514,6 +539,39 @@ class TestTrainExtractCommands:
         assert capsys.readouterr().err.endswith(f"train-cnn: error: argument --iters: must be at least 1, got {value}\n")
         assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_learning_rate_fails_before_training(self, tmp_path, capsys, value):
+        # nan diverged at iteration 1, inf warned and diverged, -1 trained uphill and wrote a checkpoint
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("a.pgm,c0\na.pgm,c1\n")
+        out = tmp_path / "out.jvnt"
+        rc = main(["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out),
+                   "--width-divisor", "16", "--iters", "2", "--batch-size", "2", f"--lr={value}"])
+        assert rc == 1
+        message = f"learning_rate must be a finite number >= 0, got {float(value)}"
+        assert capsys.readouterr().err == f"train-cnn: error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
+
+    def test_non_square_images_fail_before_training_unless_cropped(self, tmp_path, capsys):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        for name in ("a.pgm", "b.pgm"):
+            pnm.write_pnm(img_dir / name, np.full((8, 12), 0.5))
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("a.pgm,c0\nb.pgm,c1\n")
+        out = tmp_path / "out.jvnt"
+        argv = ["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out),
+                "--width-divisor", "16", "--iters", "1", "--batch-size", "2"]
+        assert main(argv) == 1
+        message = f"{manifest}: images are 8x12, not square; crop them with --random-crop"
+        assert capsys.readouterr().err == f"train-cnn: error: {message}\n"
+        assert not out.exists()
+        assert main(argv + ["--random-crop", "--crop-size", "8"]) == 0
+        assert read_checkpoint(out).spec.input_shape == (8, 8, 1)
+
     @pytest.mark.parametrize("flag", ["--width-divisor", "--crop-size"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_net_size_below_one_names_the_flag(self, tmp_path, capsys, flag, value):
@@ -544,6 +602,8 @@ class TestTrainExtractCommands:
         ("nan-weight", "conv11 weights holds NaN or inf"),
         ("oversized-layer", ""),  # numpy's MemoryError text follows the file name
         ("zero-input", "input shape (0, 0, 1) has a size below 1"),  # extracted NaN features before
+        ("two-input-sizes", "input shape (8, 8) is not (h, w, c)"),
+        ("four-input-sizes", "input shape (8, 8, 1, 1) is not (h, w, c)"),
     ])
     def test_extract_names_a_bad_checkpoint_before_writing(self, net8, tmp_path, capsys, defect, message):
         if defect == "nan-weight":
@@ -554,7 +614,8 @@ class TestTrainExtractCommands:
             replace_spec_text(net8, "name=conv11 in_channels=1 out_channels=2",
                               "name=conv11 in_channels=3000000 out_channels=3000000")
         else:
-            replace_spec_text(net8, "input=8,8,1", "input=0,0,1")
+            shape = {"zero-input": "0,0,1", "two-input-sizes": "8,8", "four-input-sizes": "8,8,1,1"}[defect]
+            replace_spec_text(net8, "input=8,8,1", f"input={shape}")
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
         pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
@@ -748,12 +809,13 @@ class TestReportCommand:
             ("[source]\nsynth_s_mu = -1\n", "covariance scale must be >= 0, got -1.0"),
             ("[source]\nsynth_s_mu = nan\n", "covariance scale must be finite, got nan"),
             ("[source]\nsynth_s_eps = inf\n", "covariance scale must be finite, got inf"),
+            ("[source]\nsynth_s_mu = 0\nsynth_s_eps = 0\n", "between_cov and within_cov are both zero"),
             ("[metric]\ngamma = nan\n", "gamma must be a finite number >= 0, got nan"),
             ("[metric]\ngamma_b = inf\n", "gamma_b must be a finite number >= 0, got inf"),
         ],
         ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int",
              "empty-far", "rank-0", "far-2", "epochs-0", "subjects-0", "dim-0", "s-mu-negative",
-             "s-mu-nan", "s-eps-inf", "gamma-nan", "gamma-b-inf"],
+             "s-mu-nan", "s-eps-inf", "s-mu-s-eps-zero", "gamma-nan", "gamma-b-inf"],
     )
     def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.ini"

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import max_relative_error
+from conftest import max_relative_error, plain_train_metric
 from faceverify.linalg import make_rng
 from faceverify.metric import (
     JointBayesModel,
@@ -419,22 +420,6 @@ class TestTrainMetric:
         assert v1 == v2
 
 
-def plain_train_metric(features, labels, cfg):
-    """train_metric as a plain loop: PairSampler epochs, and hinge_step
-    on every pair."""
-    rng = make_rng(cfg.seed)
-    model = init_model(features.shape[1], rng)
-    sampler = PairSampler(labels, rng, cfg)
-    fractions = []
-    for _ in range(cfg.epochs):
-        batch = sampler.epoch()
-        violations = 0
-        for i, j, y in zip(batch.i.tolist(), batch.j.tolist(), batch.y.tolist()):
-            violations += hinge_step(model, features[i], features[j], y, cfg)
-        fractions.append(violations / len(batch.y))
-    return model, fractions
-
-
 # (generator settings, training settings) of sets whose screened epochs
 # hold violators, so the screen drops and rebuilds its cache mid-epoch
 SCREENED_SETS = [
@@ -619,11 +604,31 @@ class TestSyntheticGenerator:
     def test_non_psd_rejected(self):
         cov = np.eye(4)
         cov[0, 0] = -1.0
-        gen = SyntheticEmbeddingModel(
-            dim=4, num_subjects=2, samples_per_subject=2, between_cov=cov, seed=74
-        )
         with pytest.raises(ValueError, match="semi-definite"):
-            generate_synthetic(gen)
+            SyntheticEmbeddingModel(dim=4, num_subjects=2, samples_per_subject=2, between_cov=cov, seed=74)
+
+    @pytest.mark.parametrize("which", ["between_cov", "within_cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected_when_built(self, which, bad):
+        cov = np.eye(3)
+        cov[1, 2] = bad
+        with pytest.raises(ValueError, match="^covariance has a NaN or inf entry$"):
+            SyntheticEmbeddingModel(dim=3, num_subjects=2, samples_per_subject=2, **{which: cov})
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3,), (3, 2)])
+    def test_wrong_shape_matrix_rejected_when_built(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"covariance must be 3x3, got {shape}")):
+            SyntheticEmbeddingModel(dim=3, num_subjects=2, samples_per_subject=2, within_cov=np.ones(shape))
+
+    def test_both_covariances_zero_rejected_when_built(self):
+        sizes = dict(dim=3, num_subjects=4, samples_per_subject=3, seed=77)
+        for between, within in ((0.0, 0.0), (np.zeros((3, 3)), 0), (0, np.zeros((3, 3)))):
+            with pytest.raises(ValueError, match="^between_cov and within_cov are both zero"):
+                SyntheticEmbeddingModel(between_cov=between, within_cov=within, **sizes)
+        # one zero covariance is a valid model whose rows are still unit-norm
+        for between, within in ((0.0, 0.25), (1.0, 0.0), (np.diag([0.0, 0.0, 1.0]), 0.0)):
+            feats, _ = generate_synthetic(SyntheticEmbeddingModel(between_cov=between, within_cov=within, **sizes))
+            npt.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
 
     def test_full_covariance_accepted(self):
         rng = make_rng(75)

@@ -55,7 +55,10 @@ def test_rejects_truncated(tmp_path):
     (b"P5\n4 4", "truncated PNM header"),
     (b"P5\n4 x\n255\n" + bytes(16), "invalid literal for int() with base 10: b'x'"),
     (b"P5\n-4 4\n255\n" + bytes(16), "negative image size -4x4"),
-], ids=["short-color-pixels", "short-header", "bad-size", "negative-size"])
+    (b"P5\n0 0\n255\n", "empty image size 0x0"),
+    (b"P6\n0 4\n255\n", "empty image size 0x4"),
+    (b"P5\n4 0\n255\n" + bytes(16), "empty image size 4x0"),
+], ids=["short-color-pixels", "short-header", "bad-size", "negative-size", "empty", "zero-width", "zero-height"])
 def test_errors_name_the_file(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)

@@ -40,6 +40,13 @@ class TestSchedule:
             npt.assert_array_equal(value, prev - 0.05 * g)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1e-3])
+def test_learning_rate_must_be_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match=f"^learning_rate must be a finite number >= 0, got {rate}$"):
+        TrainConfig(learning_rate=rate)
+    assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+
+
 class TestAugment:
     def _batch(self, n=6):
         return make_rng(2).random((n, 125, 125, 1))
