@@ -91,15 +91,6 @@ def _load_images(root: Path, media: list[str], source) -> np.ndarray:
 
 
 def cmd_train_cnn(args) -> int:
-    cfg = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        max_iters=args.iters,
-        seed=args.seed,
-        hflip=args.hflip,
-        random_crop=args.random_crop,
-        crop_size=args.crop_size,
-    )
     rows = _read_label_manifest(args.manifest)
     classes = sorted({label for _, label in rows})
     class_index = {c: i for i, c in enumerate(classes)}
@@ -114,6 +105,15 @@ def cmd_train_cnn(args) -> int:
         input_size=args.crop_size if args.random_crop else h,
         width_divisor=args.width_divisor,
         dtype=np.float32 if args.float32 else np.float64,
+    )
+    cfg = TrainConfig(
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        max_iters=args.iters,
+        seed=args.seed,
+        hflip=args.hflip,
+        random_crop=args.random_crop,
+        crop_size=args.crop_size,
     )
     result = train(net, images, labels, cfg)
     storage.write_checkpoint(args.out, net)

@@ -192,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_dir / "config.resolved.ini")
 
-    # a synthetic set is read back from its files, like a prebuilt one
+    # a synthetic set is read back from its files too, so every run scores what later stages read
     source = (cfg.features_path, cfg.manifest_path) if cfg.features_path else synthesize_dataset(cfg, out_dir)
     feats, media_ids, subject_of = read_labelled_features(*source)
     report = SplitReport(cfg.scorer, cfg.splits, {f: [] for f in cfg.fars}, {k: [] for k in cfg.ranks})

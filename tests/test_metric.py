@@ -608,17 +608,17 @@ class TestSyntheticGenerator:
             SyntheticEmbeddingModel(dim=4, num_subjects=2, samples_per_subject=2, between_cov=cov, seed=74)
 
     @pytest.mark.parametrize("which", ["between_cov", "within_cov"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_matrix_rejected_when_built(self, which, bad):
-        cov = np.eye(3)
-        cov[1, 2] = bad
-        with pytest.raises(ValueError, match="^covariance has a NaN or inf entry$"):
+    @pytest.mark.parametrize("cov, message", [
+        (np.where(np.eye(3) == 1, np.nan, 0.0), "covariance has a NaN or inf entry"),
+        (np.where(np.eye(3) == 1, 1.0, np.inf), "covariance has a NaN or inf entry"),
+        (np.eye(4), "covariance must be 3x3, got (4, 4)"),
+        (np.ones(3), "covariance must be 3x3, got (3,)"),
+        (np.ones((3, 2)), "covariance must be 3x3, got (3, 2)"),
+    ], ids=["nan", "inf", "4x4", "vector", "3x2"])
+    def test_bad_matrix_rejected_when_built(self, which, cov, message):
+        # these built without error before, and drew non-finite features or failed when drawn
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SyntheticEmbeddingModel(dim=3, num_subjects=2, samples_per_subject=2, **{which: cov})
-
-    @pytest.mark.parametrize("shape", [(4, 4), (3,), (3, 2)])
-    def test_wrong_shape_matrix_rejected_when_built(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"covariance must be 3x3, got {shape}")):
-            SyntheticEmbeddingModel(dim=3, num_subjects=2, samples_per_subject=2, within_cov=np.ones(shape))
 
     def test_both_covariances_zero_rejected_when_built(self):
         sizes = dict(dim=3, num_subjects=4, samples_per_subject=3, seed=77)
