@@ -236,6 +236,33 @@ class TestScoreMatrixIO:
         assert gids == ["g0", "g1", "g2"]
         assert pids == ["p0", "p1", "p2", "p3"]
 
+    def test_ids_are_quoted_as_csv_and_read_back(self, tmp_path):
+        # a comma, a double quote, a leading space, a non-ASCII letter
+        # and an empty id, each on both axes
+        gallery_ids = ["g,1", 'g"2', " g3", "g\u00e94", ""]
+        probe_ids = ["", "p,1", 'p"2', " p3", "p\u00f8"]
+        scores = np.array([
+            [0.1, -2.5, 1e-300, 3.0, -0.0],
+            [1 / 3, 2 / 3, -1e17, 5e-324, 7.25],
+            [0.5, 0.25, 0.125, -1.0, 2.0],
+            [1.0, 2.0, 3.0, 4.0, 5.0],
+            [-0.1, 0.2, -0.3, 0.4, -0.5],
+        ])
+        path = tmp_path / "scores.csv"
+        write_score_matrix(path, scores, gallery_ids, probe_ids)
+        assert path.read_bytes() == (
+            b'gallery_id,,"p,1","p""2", p3,p\xc3\xb8\r\n'
+            b'"g,1",0.10000000000000001,-2.5,1e-300,3,-0\r\n'
+            b'"g""2",0.33333333333333331,0.66666666666666663,-1e+17,4.9406564584124654e-324,7.25\r\n'
+            b" g3,0.5,0.25,0.125,-1,2\r\n"
+            b"g\xc3\xa94,1,2,3,4,5\r\n"
+            b",-0.10000000000000001,0.20000000000000001,-0.29999999999999999,0.40000000000000002,-0.5\r\n"
+        )
+        back, gids, pids = read_score_matrix(path)
+        npt.assert_array_equal(back, scores)
+        assert np.signbit(back[0, 4])
+        assert (gids, pids) == (gallery_ids, probe_ids)
+
     @pytest.mark.parametrize("bad_row", ["g1,0.5", "g1,0.5,0.25,0.1", "g1,0.5,high"])
     def test_bad_row_names_file_and_line(self, tmp_path, bad_row):
         path = tmp_path / "scores.csv"
