@@ -43,6 +43,10 @@ __all__ = [
 DEFAULT_FARS = (1e-2, 1e-1)
 DEFAULT_RANKS = (1, 5, 10)
 
+# ROC table rows formatted per chunk written, so the text of a large
+# curve is never held whole
+_ROC_BLOCK = 4096
+
 
 def parse_list(text: str, kind) -> tuple:
     """FARs (kind float) or ranks (kind int) from a flag's or a config's
@@ -142,15 +146,22 @@ def aggregate_splits(values) -> tuple[float, float]:
 
 def emit_curves(curve: RocCurve, accuracies: np.ndarray, roc_path, cmc_path) -> None:
     """Write plot-ready (far, tar) and (rank, accuracy) CSV tables, \\r\\n-terminated."""
-    # TAR takes at most |pos| + 1 values, so each distinct one is formatted once
-    distinct, inverse = np.unique(curve.tar, return_inverse=True)
-    tar_text = np.array(["%.17g" % t for t in distinct.tolist()], dtype=object)[inverse]
-    roc_rows = zip(curve.far.tolist(), tar_text.tolist())
-    roc_text = "far,tar\r\n" + "".join("%.17g,%s\r\n" % row for row in roc_rows)
-    write_file(roc_path, [roc_text.encode("utf-8")])
+    write_file(roc_path, _roc_lines(curve))
     cmc_rows = enumerate(accuracies.tolist(), start=1)
     cmc_text = "rank,accuracy\r\n" + "".join("%d,%.17g\r\n" % row for row in cmc_rows)
     write_file(cmc_path, [cmc_text.encode("utf-8")])
+
+
+def _roc_lines(curve: RocCurve):
+    """The ROC table as UTF-8 text, _ROC_BLOCK rows at a time."""
+    yield b"far,tar\r\n"
+    # TAR takes at most |pos| + 1 values, so each distinct one is formatted once
+    distinct, inverse = np.unique(curve.tar, return_inverse=True)
+    tar_text = np.array(["%.17g" % t for t in distinct.tolist()], dtype=object)
+    for start in range(0, len(curve.far), _ROC_BLOCK):
+        stop = start + _ROC_BLOCK
+        rows = zip(curve.far[start:stop].tolist(), tar_text[inverse[start:stop]].tolist())
+        yield "".join("%.17g,%s\r\n" % row for row in rows).encode("utf-8")
 
 
 def evaluate_split(

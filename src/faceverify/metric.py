@@ -53,8 +53,6 @@ __all__ = [
     "PairSampler",
     "SyntheticEmbeddingModel",
     "cosine_matrix",
-    "distance",
-    "similarity",
     "similarity_matrix",
     "hinge_step",
     "init_model",
@@ -109,13 +107,6 @@ class PairBatch:
     y: np.ndarray
 
 
-def _check_vector(model: JointBayesModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.dim:
-        raise ValueError(f"feature length {x.shape[0]} does not match model dim {model.dim}")
-    return x
-
-
 def _distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
     """The single-pair form on float64 vectors of length model.dim;
     checks nothing."""
@@ -123,18 +114,9 @@ def _distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float
     return float(diff @ model.M @ diff - 2.0 * (x_i @ model.B @ x_j))
 
 
-def distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """(x_i-x_j)^T M (x_i-x_j) - 2 x_i^T B x_j."""
-    return _distance(model, _check_vector(model, x_i), _check_vector(model, x_j))
-
-
-def similarity(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Bias minus distance; larger means more likely the same subject."""
-    return model.b - distance(model, x_i, x_j)
-
-
 def similarity_matrix(model: JointBayesModel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """similarity() for every (row of left) x (row of right) pair."""
+    """Similarity b - d(x_i, x_j) of every (row of left) x (row of
+    right) pair."""
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
     if left.shape[1] != model.dim or right.shape[1] != model.dim:
@@ -188,6 +170,21 @@ def hinge_step(
     return True
 
 
+def _same_subject_pairs(labels: np.ndarray) -> np.ndarray:
+    """Flat indices i * n + j of the i < j same-label pairs, ascending
+    (row-major order), built one subject size at a time."""
+    n = len(labels)
+    _, codes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(codes, kind="stable")  # each subject's rows, ascending
+    first = np.cumsum(sizes) - sizes  # where each subject's rows start in order
+    flat = [np.empty(0, dtype=np.int64)]
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        members = order[first[sizes == size, None] + np.arange(size)]
+        a, b = np.triu_indices(size, 1)
+        flat.append((members[:, a] * n + members[:, b]).ravel())
+    return np.sort(np.concatenate(flat))
+
+
 class PairSampler:
     """Builds the positive/negative pair pools and emits alternating epochs.
 
@@ -197,22 +194,36 @@ class PairSampler:
     with one negative drawn after each positive; the negative queue
     cycles through the pool, reshuffling whenever it runs out.  Pools and
     emission order are deterministic given the rng.
+
+    Labels are grouped by value, so a NaN or inf float label, which
+    has no subject it is equal to, is rejected.
     """
 
     def __init__(self, labels: np.ndarray, rng: np.random.Generator, cfg: MetricTrainConfig):
         labels = np.asarray(labels)
-        same = labels[:, None] == labels[None, :]
-        # flat indices i * n + j of the i < j pairs, in row-major order
-        pos = np.flatnonzero(np.triu(same, 1))
+        if labels.dtype.kind in "fc" and not np.isfinite(labels).all():
+            bad = np.flatnonzero(~np.isfinite(labels))
+            raise ValueError(f"labels must be finite, got {labels[bad[0]]} at row {bad[0]} ({len(bad)} in all)")
+        n = len(labels)
+        pos = _same_subject_pairs(labels)
         if len(pos) == 0:
             raise ValueError("no positive pair available: need a subject with >= 2 samples")
-        neg = np.flatnonzero(np.triu(~same, 1))
-        if len(neg) == 0:
+        n_neg = n * (n - 1) // 2 - len(pos)
+        if n_neg == 0:
             raise ValueError("no negative pair available: need >= 2 subjects")
-        cap = min(len(neg), cfg.neg_to_pos_ratio * len(pos))
-        neg = neg[np.sort(rng.choice(len(neg), size=cap, replace=False))]
-        self.pos_pairs = np.stack(np.divmod(pos, len(labels)), axis=1)
-        self.neg_pairs = np.stack(np.divmod(neg, len(labels)), axis=1)
+        pi, pj = np.divmod(pos, n)
+        cap = min(n_neg, cfg.neg_to_pos_ratio * len(pos))
+        # rank r among the negatives to rank t among all i < j pairs in
+        # row-major order: the k-th positive, at rank prank_k, has
+        # prank_k - k negatives before it, so t = r + #{k: prank_k - k <= r}
+        r = np.sort(rng.choice(n_neg, size=cap, replace=False))
+        rows = np.arange(n)
+        row_start = rows * n - rows * (rows + 1) // 2  # rank of (i, i + 1)
+        prank = row_start[pi] + pj - pi - 1
+        t = r + np.searchsorted(prank - np.arange(len(prank)), r, side="right")
+        ni = np.searchsorted(row_start, t, side="right") - 1
+        self.pos_pairs = np.stack([pi, pj], axis=1)
+        self.neg_pairs = np.stack([ni, t - row_start[ni] + ni + 1], axis=1)
         self._rng = rng
         self._neg_queue = rng.permutation(len(self.neg_pairs))
         self._neg_cursor = 0
@@ -275,7 +286,8 @@ def train_metric(
     per-epoch fraction of pairs that violated the margin.
 
     The one check of the metric stage's input: features must be a 2-D
-    finite matrix with one label per row.  The pair steps check nothing.
+    finite matrix with one label per row, and PairSampler rejects a
+    non-finite label.  The pair steps check nothing.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -368,6 +380,15 @@ class SyntheticEmbeddingModel:
 def generate_synthetic(model: SyntheticEmbeddingModel) -> tuple[np.ndarray, np.ndarray]:
     """Draw the full synthetic set; returns (features, subject labels)."""
     rng = make_rng(model.seed)
+    covs = (model.between_cov, model.within_cov)
+    if all(np.isscalar(c) for c in covs):
+        # sqrt(s) * I times z is sqrt(s) * z to the bit, so one draw
+        # of every subject's mean and samples in stream order serves
+        z = rng.standard_normal((model.num_subjects, 1 + model.samples_per_subject, model.dim))
+        sb, sw = (np.sqrt(float(c)) for c in covs)
+        feats = sb * z[:, :1] + sw * z[:, 1:]
+        labels = np.repeat(np.arange(model.num_subjects), model.samples_per_subject)
+        return l2_normalize(feats.reshape(-1, model.dim)), labels
     fb, fw = model.factors
     total = model.num_subjects * model.samples_per_subject
     feats = np.empty((total, model.dim))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from faceverify.linalg import make_rng
-from faceverify.metric import PairSampler, hinge_step, init_model
+from faceverify.metric import JointBayesModel, PairSampler, _distance, hinge_step, init_model
 
 
 def make_blob_images(n=500, size=32, num_classes=10, seed=0):
@@ -93,3 +93,45 @@ def plain_train_metric(features, labels, cfg):
             violations += hinge_step(model, features[i], features[j], y, cfg)
         fractions.append(violations / len(batch.y))
     return model, fractions
+
+
+def _check_vector(model: JointBayesModel, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.shape[0] != model.dim:
+        raise ValueError(f"feature length {x.shape[0]} does not match model dim {model.dim}")
+    return x
+
+
+def distance(model: JointBayesModel, x_i, x_j) -> float:
+    """The single-pair reference: (x_i-x_j)^T M (x_i-x_j) - 2 x_i^T B
+    x_j, through hinge_step's own form, with both vectors checked."""
+    return _distance(model, _check_vector(model, x_i), _check_vector(model, x_j))
+
+
+def similarity(model: JointBayesModel, x_i, x_j) -> float:
+    """Bias minus distance; larger means more likely the same subject."""
+    return model.b - distance(model, x_i, x_j)
+
+
+class MaskPairSampler(PairSampler):
+    """PairSampler with its pools built through the dense n x n
+    same-subject mask, the reference the mask-free pools must equal
+    array for array, with the rng left in the same state."""
+
+    def __init__(self, labels, rng, cfg):
+        labels = np.asarray(labels)
+        same = labels[:, None] == labels[None, :]
+        # flat indices i * n + j of the i < j pairs, in row-major order
+        pos = np.flatnonzero(np.triu(same, 1))
+        if len(pos) == 0:
+            raise ValueError("no positive pair available: need a subject with >= 2 samples")
+        neg = np.flatnonzero(np.triu(~same, 1))
+        if len(neg) == 0:
+            raise ValueError("no negative pair available: need >= 2 subjects")
+        cap = min(len(neg), cfg.neg_to_pos_ratio * len(pos))
+        neg = neg[np.sort(rng.choice(len(neg), size=cap, replace=False))]
+        self.pos_pairs = np.stack(np.divmod(pos, len(labels)), axis=1)
+        self.neg_pairs = np.stack(np.divmod(neg, len(labels)), axis=1)
+        self._rng = rng
+        self._neg_queue = rng.permutation(len(self.neg_pairs))
+        self._neg_cursor = 0

@@ -14,14 +14,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import central_diff_gradient, make_blob_images, max_relative_error
+from conftest import central_diff_gradient, distance, make_blob_images, max_relative_error
 from faceverify.align import CanonicalFrame, SimilarityTransform, estimate_similarity
 from faceverify.evaluation import cmc, roc, tar_at_far
 from faceverify.linalg import derive_seed, make_rng
 from faceverify.metric import (
     MetricTrainConfig,
     SyntheticEmbeddingModel,
-    distance,
     generate_synthetic,
     hinge_step,
     train_metric,

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from faceverify.evaluation import (
     tar_at_far,
 )
 from faceverify.linalg import make_rng
+from faceverify.templates import read_score_matrix, write_score_matrix
 
 
 def brute_force_roc(scores, labels):
@@ -259,6 +261,32 @@ class TestEmitCurves:
         assert rows.shape[0] == len(accuracies)
         npt.assert_array_equal(rows[:, 0], np.arange(1, len(accuracies) + 1))
         npt.assert_array_equal(rows[:, 1], accuracies)
+
+
+def test_writers_peak_memory_at_the_hard_benchmark_shape(tmp_path):
+    # one split of the d=32 hard benchmark run: 320 gallery x 640 probe
+    # templates, a 204,801-point ROC; holding each file's whole text
+    # peaked at 33.5 MB
+    rng = make_rng(12)
+    scores = rng.standard_normal((320, 640))
+    gallery = rng.integers(0, 320, 320)
+    probes = gallery[rng.integers(0, 320, 640)]
+    curve = roc(scores.ravel(), np.where(gallery[:, None] == probes[None, :], 1, -1).ravel())
+    accuracies = cmc(scores, gallery, probes)
+    gallery_ids = [f"g{k:04d}" for k in range(320)]
+    probe_ids = [f"p{k:04d}" for k in range(640)]
+    tracemalloc.start()
+    try:
+        write_score_matrix(tmp_path / "scores.csv", scores, gallery_ids, probe_ids)
+        emit_curves(curve, accuracies, tmp_path / "roc.csv", tmp_path / "cmc.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    back, _, _ = read_score_matrix(tmp_path / "scores.csv")
+    npt.assert_array_equal(back, scores)
+    _, rows = read_table(tmp_path / "roc.csv")
+    npt.assert_array_equal(rows, np.stack([curve.far, curve.tar], axis=1))
 
 
 def test_evaluate_split(tmp_path):

@@ -9,19 +9,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import max_relative_error, plain_train_metric
-from faceverify.linalg import make_rng
+from conftest import MaskPairSampler, distance, max_relative_error, plain_train_metric, similarity
+from faceverify.linalg import l2_normalize, make_rng
 from faceverify.metric import (
     JointBayesModel,
     MetricTrainConfig,
     PairSampler,
     SyntheticEmbeddingModel,
     cosine_matrix,
-    distance,
     generate_synthetic,
     hinge_step,
     init_model,
-    similarity,
     similarity_matrix,
     train_metric,
 )
@@ -259,25 +257,39 @@ PAIR_LABELS = {
     "grouped": np.repeat(np.arange(6), 3),
     "shuffled": make_rng(57).permutation(np.repeat(np.arange(5), [1, 2, 3, 4, 5])),
     "strings": np.array(["s07", "s02", "s07", "s11", "s02", "s11", "s07", "s30", "s02"]),
+    "interleaved": np.tile(np.arange(4), 3),
+    "singletons": np.array([5, 1, 5, 9, 2, 7, 1, 3, 5, 8]),
+    "sorted-floats": np.array([0.5, 0.5, 1.5, 1.5, 1.5, 2.25, 3.0, 3.0]),
+    # one positive and exactly 20 negatives: ratio 20 takes every negative
+    "one-pair": np.array([3, 0, 5, 1, 0, 4, 2]),
 }
 
 
 class TestPairSampler:
     @pytest.mark.parametrize("name", sorted(PAIR_LABELS))
-    @pytest.mark.parametrize("ratio, capped", [(2, True), (1000, False)])
+    @pytest.mark.parametrize("ratio, capped", [(1, True), (2, True), (20, False), (1000, False)])
     def test_pools_match_brute_force_enumeration(self, name, ratio, capped):
         labels = PAIR_LABELS[name]
         pos, neg = brute_force_pairs(labels.tolist())
         cap = min(len(neg), ratio * len(pos))
         assert (cap < len(neg)) == capped
-        sampler = PairSampler(labels, make_rng(56), MetricTrainConfig(neg_to_pos_ratio=ratio))
+        cfg = MetricTrainConfig(neg_to_pos_ratio=ratio)
+        sampler = PairSampler(labels, make_rng(56), cfg)
         npt.assert_array_equal(sampler.pos_pairs, pos)
         pick = np.sort(make_rng(56).choice(len(neg), cap, replace=False))
         npt.assert_array_equal(sampler.neg_pairs, neg[pick])
+        # the same draws as the mask construction, so the same epochs
+        reference = MaskPairSampler(labels, make_rng(56), cfg)
+        npt.assert_array_equal(sampler._neg_queue, reference._neg_queue)
+        for _ in range(2):
+            got, want = sampler.epoch(), reference.epoch()
+            for field in ("i", "j", "y"):
+                npt.assert_array_equal(getattr(got, field), getattr(want, field))
 
     def test_peak_memory_at_hard_benchmark_training_shape(self):
         # 1280 subjects x 3 samples, the training set of the d=32 hard
-        # benchmark run: an (i, j) list of all 7.4M pairs peaked at 376 MB
+        # benchmark run: an (i, j) list of all 7.4M pairs peaked at 376
+        # MB, and the n x n same-subject mask at 88.5 MB
         labels = np.repeat(np.array([f"s{k:04d}" for k in range(1280)]), 3)
         tracemalloc.start()
         try:
@@ -285,7 +297,16 @@ class TestPairSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 125e6
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_labels_rejected(self, bad):
+        # the mask made each NaN a subject of its own; grouping by value
+        # would join them, so neither reading is taken
+        feats = l2_normalize(make_rng(59).standard_normal((5, 3)))
+        labels = np.array([1.0, 1.0, bad, 2.0, bad])
+        with pytest.raises(ValueError, match=rf"labels must be finite, got {bad} at row 2 \(2 in all\)"):
+            train_metric(feats, labels, MetricTrainConfig(epochs=1))
 
     def test_pool_counts(self):
         labels = np.array([0, 0, 1, 1])

@@ -10,10 +10,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import plain_train_metric
+from conftest import MaskPairSampler, plain_train_metric
 from faceverify.evaluation import cmc, roc
 from faceverify.linalg import make_rng
-from faceverify.metric import JointBayesModel, MetricTrainConfig, train_metric
+from faceverify.metric import JointBayesModel, MetricTrainConfig, PairSampler, train_metric
 from faceverify.storage import read_features, read_metric_model, write_features, write_metric_model
 from faceverify.templates import pool_template
 
@@ -157,3 +157,24 @@ def test_screened_train_metric_equals_the_plain_loop(case, gamma, symmetrize_b, 
     assert got.M.tobytes() == want.M.tobytes()
     assert got.B.tobytes() == want.B.tobytes()
     assert got.b == want.b
+
+
+@CAPPED
+@given(
+    st.lists(st.integers(0, 9), min_size=2, max_size=40),
+    st.sampled_from([1, 3, 20, 1000]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_pair_pools_equal_the_mask_construction(codes, ratio, as_text, seed):
+    labels = np.array([f"s{c}" for c in codes]) if as_text else np.array(codes)
+    same = labels[:, None] == labels[None, :]
+    assume(np.triu(same, 1).any() and not same.all())
+    cfg = MetricTrainConfig(neg_to_pos_ratio=ratio)
+    got, want = PairSampler(labels, make_rng(seed), cfg), MaskPairSampler(labels, make_rng(seed), cfg)
+    npt.assert_array_equal(got.pos_pairs, want.pos_pairs)
+    npt.assert_array_equal(got.neg_pairs, want.neg_pairs)
+    npt.assert_array_equal(got._neg_queue, want._neg_queue)
+    batch, reference = got.epoch(), want.epoch()
+    for field in ("i", "j", "y"):
+        npt.assert_array_equal(getattr(batch, field), getattr(reference, field))
