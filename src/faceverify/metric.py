@@ -195,8 +195,9 @@ class PairSampler:
     cycles through the pool, reshuffling whenever it runs out.  Pools and
     emission order are deterministic given the rng.
 
-    Labels are grouped by value, so a NaN or inf float label, which
-    has no subject it is equal to, is rejected.
+    Labels are grouped by value with np.unique, so they must be
+    mutually orderable (a str, int, float or bool array), and a NaN or
+    inf float label, which equals no label, is rejected.
     """
 
     def __init__(self, labels: np.ndarray, rng: np.random.Generator, cfg: MetricTrainConfig):
@@ -380,25 +381,20 @@ class SyntheticEmbeddingModel:
 def generate_synthetic(model: SyntheticEmbeddingModel) -> tuple[np.ndarray, np.ndarray]:
     """Draw the full synthetic set; returns (features, subject labels)."""
     rng = make_rng(model.seed)
+    shape = (model.num_subjects, model.samples_per_subject, model.dim)
     covs = (model.between_cov, model.within_cov)
     if all(np.isscalar(c) for c in covs):
-        # sqrt(s) * I times z is sqrt(s) * z to the bit, so one draw
-        # of every subject's mean and samples in stream order serves
-        z = rng.standard_normal((model.num_subjects, 1 + model.samples_per_subject, model.dim))
+        # sqrt(s) I z is sqrt(s) z to the bit, so one draw of each
+        # subject's mean and samples, in stream order, serves them all
+        z = rng.standard_normal((shape[0], 1 + shape[1], shape[2]))
         sb, sw = (np.sqrt(float(c)) for c in covs)
         feats = sb * z[:, :1] + sw * z[:, 1:]
-        labels = np.repeat(np.arange(model.num_subjects), model.samples_per_subject)
-        return l2_normalize(feats.reshape(-1, model.dim)), labels
-    fb, fw = model.factors
-    total = model.num_subjects * model.samples_per_subject
-    feats = np.empty((total, model.dim))
-    labels = np.empty(total, dtype=np.int64)
-    row = 0
-    for s in range(model.num_subjects):
-        mu = fb @ rng.standard_normal(model.dim)
-        for _ in range(model.samples_per_subject):
-            x = mu + fw @ rng.standard_normal(model.dim)
-            feats[row] = x
-            labels[row] = s
-            row += 1
-    return l2_normalize(feats), labels
+    else:  # one gemv per draw: a batched product sums in another order
+        fb, fw = model.factors
+        feats = np.empty(shape)
+        for s in range(model.num_subjects):
+            mu = fb @ rng.standard_normal(model.dim)
+            for k in range(model.samples_per_subject):
+                feats[s, k] = mu + fw @ rng.standard_normal(model.dim)
+    labels = np.repeat(np.arange(model.num_subjects), model.samples_per_subject)
+    return l2_normalize(feats.reshape(-1, model.dim)), labels

@@ -15,7 +15,7 @@ from faceverify.evaluation import cmc, roc
 from faceverify.linalg import make_rng
 from faceverify.metric import JointBayesModel, MetricTrainConfig, PairSampler, train_metric
 from faceverify.storage import read_features, read_metric_model, write_features, write_metric_model
-from faceverify.templates import pool_template
+from faceverify.templates import pool_template, read_score_matrix, write_score_matrix
 
 CAPPED = settings(
     max_examples=40,
@@ -119,6 +119,28 @@ def test_metric_model_round_trips_exactly(tmp_path, model):
     assert got.M.tobytes() == model.M.tobytes()
     assert got.B.tobytes() == model.B.tobytes()
     assert np.float64(got.b).tobytes() == np.float64(model.b).tobytes()
+
+
+template_ids = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)
+
+
+@st.composite
+def score_files(draw):
+    shape = (draw(st.integers(0, 4)), draw(st.integers(1, 4)))
+    scores = draw(arrays(np.float64, shape, elements=finite))
+    gallery_ids, probe_ids = (draw(st.lists(template_ids, min_size=k, max_size=k)) for k in shape)
+    return scores, gallery_ids, probe_ids
+
+
+@CAPPED
+@given(score_files())
+def test_score_matrix_round_trips_exactly(tmp_path, case):
+    scores, gallery_ids, probe_ids = case
+    path = tmp_path / "scores.csv"
+    write_score_matrix(path, scores, gallery_ids, probe_ids)
+    got, got_gallery, got_probe = read_score_matrix(path)
+    assert got.reshape(scores.shape).tobytes() == scores.tobytes()  # %.17g keeps every bit, -0.0 included
+    assert (got_gallery, got_probe) == (gallery_ids, probe_ids)
 
 
 @st.composite
