@@ -178,7 +178,7 @@ def _same_subject_pairs(labels: np.ndarray) -> np.ndarray:
     order = np.argsort(codes, kind="stable")  # each subject's rows, ascending
     first = np.cumsum(sizes) - sizes  # where each subject's rows start in order
     flat = [np.empty(0, dtype=np.int64)]
-    for size in np.unique(sizes[sizes > 1]).tolist():
+    for size in sorted(set(sizes[sizes > 1].tolist())):
         members = order[first[sizes == size, None] + np.arange(size)]
         a, b = np.triu_indices(size, 1)
         flat.append((members[:, a] * n + members[:, b]).ravel())
