@@ -125,15 +125,15 @@ class CanonicalFrame:
         object.__setattr__(self, "landmarks", pts)
 
 
-def estimate_similarity(src: np.ndarray | LandmarkSet, dst: np.ndarray | LandmarkSet) -> SimilarityTransform:
+def estimate_similarity(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:
     """Least-squares similarity transform taking src points onto dst points.
 
     Solves the normal equations for (a, b, tx, ty) in closed form over
     the centered coordinates; this is the global minimizer of
     sum_k ||T(src_k) - dst_k||^2 within the reflection-free family.
     """
-    s = src.points if isinstance(src, LandmarkSet) else np.asarray(src, dtype=np.float64)
-    d = dst.points if isinstance(dst, LandmarkSet) else np.asarray(dst, dtype=np.float64)
+    s = np.asarray(src, dtype=np.float64)
+    d = np.asarray(dst, dtype=np.float64)
     if s.shape != d.shape or s.ndim != 2 or s.shape[1] != 2:
         raise ValueError(f"point sets must share shape (n, 2), got {s.shape} and {d.shape}")
     sc = s - s.mean(axis=0)

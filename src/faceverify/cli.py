@@ -90,6 +90,26 @@ def _load_images(root: Path, media: list[str], source) -> np.ndarray:
     return np.stack(imgs)
 
 
+def _flag_values(args, flags: dict[str, str]) -> dict:
+    """{field: the value its flag got} for a table of config field ->
+    flag (argparse keeps --crop-size as args.crop_size).  A command
+    builds its config from its table, and names a bad value by its flag
+    through the same table."""
+    return {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
+
+
+# TrainConfig field -> the train-cnn flag that sets it
+_TRAIN_CNN_FLAGS = {
+    "batch_size": "--batch-size",
+    "learning_rate": "--lr",
+    "max_iters": "--iters",
+    "seed": "--seed",
+    "hflip": "--hflip",
+    "random_crop": "--random-crop",
+    "crop_size": "--crop-size",
+}
+
+
 def cmd_train_cnn(args) -> int:
     rows = _read_label_manifest(args.manifest)
     classes = sorted({label for _, label in rows})
@@ -106,15 +126,8 @@ def cmd_train_cnn(args) -> int:
         width_divisor=args.width_divisor,
         dtype=np.float32 if args.float32 else np.float64,
     )
-    cfg = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        max_iters=args.iters,
-        seed=args.seed,
-        hflip=args.hflip,
-        random_crop=args.random_crop,
-        crop_size=args.crop_size,
-    )
+    with pl.named_as_written(_TRAIN_CNN_FLAGS):
+        cfg = TrainConfig(**_flag_values(args, _TRAIN_CNN_FLAGS))
     result = train(net, images, labels, cfg)
     storage.write_checkpoint(args.out, net)
     print(f"train-cnn: {result.iterations} iterations, final loss {result.losses[-1]:.4f}, saved {args.out}")
@@ -164,17 +177,22 @@ def cmd_pool(args) -> int:
     return 0
 
 
+# MetricTrainConfig field -> the train-metric flag that sets it
+# (symmetrize_b is set by the absence of --literal-b-update)
+_TRAIN_METRIC_FLAGS = {
+    "gamma": "--gamma",
+    "gamma_b": "--gamma-b",
+    "neg_to_pos_ratio": "--ratio",
+    "epochs": "--epochs",
+    "seed": "--seed",
+}
+
+
 def cmd_train_metric(args) -> int:
     feats, media_ids, subject_of = templates.read_labelled_features(args.features, args.manifest)
     labels = np.array([subject_of[m] for m in media_ids])
-    cfg = MetricTrainConfig(
-        gamma=args.gamma,
-        gamma_b=args.gamma_b,
-        neg_to_pos_ratio=args.ratio,
-        epochs=args.epochs,
-        seed=args.seed,
-        symmetrize_b=not args.literal_b_update,
-    )
+    with pl.named_as_written(_TRAIN_METRIC_FLAGS):
+        cfg = MetricTrainConfig(**_flag_values(args, _TRAIN_METRIC_FLAGS), symmetrize_b=not args.literal_b_update)
     model, violations = train_metric(feats, labels, cfg)
     storage.write_metric_model(args.out, model)
     print(
@@ -266,16 +284,20 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+# PipelineConfig field -> the synth flag that sets it
+_SYNTH_FLAGS = {
+    "synth_subjects": "--subjects",
+    "synth_samples": "--samples",
+    "synth_dim": "--dim",
+    "synth_s_mu": "--s-mu",
+    "synth_s_eps": "--s-eps",
+}
+
+
 def cmd_synth(args) -> int:
-    cfg = pl.PipelineConfig(
-        out_dir=args.out_dir,
-        seed=args.seed,
-        synth_subjects=args.subjects,
-        synth_samples=args.samples,
-        synth_dim=args.dim,
-        synth_s_mu=args.s_mu,
-        synth_s_eps=args.s_eps,
-    )
+    cfg = pl.PipelineConfig(out_dir=args.out_dir, seed=args.seed, **_flag_values(args, _SYNTH_FLAGS))
+    with pl.named_as_written(_SYNTH_FLAGS):
+        cfg.synthetic_model()  # checks every flag before anything is written
     out_dir = Path(args.out_dir)
     pl.synthesize_dataset(cfg, out_dir)
     print(f"synth: {args.subjects * args.samples} features of dim {args.dim} -> {out_dir}")

@@ -40,7 +40,7 @@ then screens its next 256 pairs against the updated model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class MetricTrainConfig:
             if not 0.0 <= rate < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be a finite number >= 0, got {rate}")
         if self.neg_to_pos_ratio < 1:
-            raise ValueError("negative:positive ratio must be >= 1")
+            raise ValueError(f"neg_to_pos_ratio must be >= 1, got {self.neg_to_pos_ratio}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -340,61 +340,39 @@ def train_metric(
 @dataclass
 class SyntheticEmbeddingModel:
     """Generator for identity-plus-variation features: x = mu + eps with
-    mu ~ N(0, between_cov) drawn once per subject and eps ~ N(0,
-    within_cov) per sample, then L2-normalized like real features.  Each
-    covariance rule is checked, and each square root kept, when it is built."""
+    mu ~ N(0, between_cov I) drawn once per subject and eps ~ N(0,
+    within_cov I) per sample, then L2-normalized like real features.
+    Both covariances are scalar multiples of the identity, the only
+    kind.  Every rule is checked when the model is built: each size is
+    >= 1, each scale is a finite number >= 0, and the two scales are not
+    both zero (every sample would be the zero vector)."""
 
     dim: int
     num_subjects: int
     samples_per_subject: int
-    between_cov: np.ndarray | float = 1.0
-    within_cov: np.ndarray | float = 0.25
+    between_cov: float = 1.0
+    within_cov: float = 0.25
     seed: int = 0
-    factors: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dim", "num_subjects", "samples_per_subject"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        self.factors = (self._factor(self.between_cov), self._factor(self.within_cov))
-        if not any(f.any() for f in self.factors):
+        for name in ("between_cov", "within_cov"):
+            scale = getattr(self, name)
+            if not (np.isscalar(scale) and 0.0 <= scale < np.inf):  # NaN fails too
+                raise ValueError(f"{name} must be a finite number >= 0, got {scale}")
+        if self.between_cov == 0 and self.within_cov == 0:
             raise ValueError("between_cov and within_cov are both zero, so every sample would be zero")
-
-    def _factor(self, cov) -> np.ndarray:
-        if np.isscalar(cov):
-            if not np.isfinite(cov):
-                raise ValueError(f"covariance scale must be finite, got {cov}")
-            if cov < 0:
-                raise ValueError(f"covariance scale must be >= 0, got {cov}")
-            return np.sqrt(float(cov)) * np.eye(self.dim)
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.shape != (self.dim, self.dim):
-            raise ValueError(f"covariance must be {self.dim}x{self.dim}, got {cov.shape}")
-        if not np.isfinite(cov).all():
-            raise ValueError("covariance has a NaN or inf entry")
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        if vals.min() < -1e-10 * max(1.0, vals.max()):
-            raise ValueError(f"covariance is not positive semi-definite (min eig {vals.min():.3e})")
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def generate_synthetic(model: SyntheticEmbeddingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the full synthetic set; returns (features, subject labels)."""
+    """Draw the full synthetic set; returns (features, subject labels).
+    One draw, in stream order, holds each subject's mean and then its
+    samples."""
     rng = make_rng(model.seed)
-    shape = (model.num_subjects, model.samples_per_subject, model.dim)
-    covs = (model.between_cov, model.within_cov)
-    if all(np.isscalar(c) for c in covs):
-        # sqrt(s) I z is sqrt(s) z to the bit, so one draw of each
-        # subject's mean and samples, in stream order, serves them all
-        z = rng.standard_normal((shape[0], 1 + shape[1], shape[2]))
-        sb, sw = (np.sqrt(float(c)) for c in covs)
-        feats = sb * z[:, :1] + sw * z[:, 1:]
-    else:  # one gemv per draw: a batched product sums in another order
-        fb, fw = model.factors
-        feats = np.empty(shape)
-        for s in range(model.num_subjects):
-            mu = fb @ rng.standard_normal(model.dim)
-            for k in range(model.samples_per_subject):
-                feats[s, k] = mu + fw @ rng.standard_normal(model.dim)
+    z = rng.standard_normal((model.num_subjects, 1 + model.samples_per_subject, model.dim))
+    sb, sw = np.sqrt(float(model.between_cov)), np.sqrt(float(model.within_cov))
+    feats = sb * z[:, :1] + sw * z[:, 1:]
     labels = np.repeat(np.arange(model.num_subjects), model.samples_per_subject)
     return l2_normalize(feats.reshape(-1, model.dim)), labels

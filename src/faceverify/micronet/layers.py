@@ -260,14 +260,24 @@ class CrossChannelNorm(Layer):
     out = x / (k + (alpha / size) * sum_{j in window} x_j^2)^beta, with a
     window of `size` channels centered on each channel and clipped at the
     channel boundaries.
+    The size is odd and >= 1, alpha a finite number >= 0, beta finite
+    and k a finite number > 0, so the denominator is >= k > 0 wherever x
+    is finite.
     """
 
     kind = "lrn"
     fields = {"size": int, "alpha": float, "beta": float, "k": float}
 
     def __init__(self, size: int = 5, alpha: float = 1e-4, beta: float = 0.75, k: float = 1.0):
-        if size % 2 != 1:
-            raise ValueError(f"window size must be odd, got {size}")
+        # NaN fails every comparison, so each rule rejects it
+        if size < 1 or size % 2 != 1:
+            raise ValueError(f"lrn size must be odd and >= 1, got {size}")
+        if not 0.0 <= alpha < np.inf:
+            raise ValueError(f"lrn alpha must be a finite number >= 0, got {alpha}")
+        if not -np.inf < beta < np.inf:
+            raise ValueError(f"lrn beta must be finite, got {beta}")
+        if not 0.0 < k < np.inf:
+            raise ValueError(f"lrn k must be a finite number > 0, got {k}")
         self.size = size
         self.alpha = alpha
         self.beta = beta

@@ -11,8 +11,10 @@ byte-reproducible for a given config.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 import logging
+import re
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,12 +41,33 @@ from faceverify.templates import (
     write_score_matrix,
 )
 
-__all__ = ["PipelineConfig", "SplitReport", "run_pipeline", "synthesize_dataset", "load_config"]
+__all__ = ["PipelineConfig", "SplitReport", "named_as_written", "run_pipeline", "synthesize_dataset", "load_config"]
 
 log = logging.getLogger("faceverify")
 
 # Per-stage seed streams; appending is fine, renumbering breaks reproducibility.
 _STREAMS = {"synth": 1, "split": 100, "metric": 200}
+
+# SyntheticEmbeddingModel field -> the [source] key that sets it
+_SYNTH_KEYS = {
+    "num_subjects": "synth_subjects",
+    "samples_per_subject": "synth_samples",
+    "dim": "synth_dim",
+    "between_cov": "synth_s_mu",
+    "within_cov": "synth_s_eps",
+}
+
+
+@contextlib.contextmanager
+def named_as_written(names: dict[str, str]):
+    """Re-raise a ValueError from the block with each field name of names
+    (a library field -> the config key or flag that sets it) in its
+    message replaced by the name the user wrote."""
+    try:
+        yield
+    except ValueError as exc:
+        pattern = re.compile(r"\b(?:" + "|".join(names) + r")\b")
+        raise ValueError(pattern.sub(lambda m: names[m[0]], str(exc))) from exc
 
 
 @dataclass
@@ -85,14 +108,12 @@ class PipelineConfig:
         )
 
     def synthetic_model(self) -> SyntheticEmbeddingModel:
-        return SyntheticEmbeddingModel(
-            dim=self.synth_dim,
-            num_subjects=self.synth_subjects,
-            samples_per_subject=self.synth_samples,
-            between_cov=self.synth_s_mu,
-            within_cov=self.synth_s_eps,
-            seed=derive_seed(self.seed, _STREAMS["synth"]),
-        )
+        """The synthetic source; a bad value fails naming its config key."""
+        with named_as_written(_SYNTH_KEYS):
+            return SyntheticEmbeddingModel(
+                **{name: getattr(self, key) for name, key in _SYNTH_KEYS.items()},
+                seed=derive_seed(self.seed, _STREAMS["synth"]),
+            )
 
     def validate(self) -> None:
         if self.scorer not in SCORERS:

@@ -10,7 +10,7 @@ from faceverify import pnm
 from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
 from faceverify.linalg import make_rng
-from faceverify.metric import init_model
+from faceverify.metric import SyntheticEmbeddingModel, init_model
 from faceverify.micronet import build_face_net, extract_features
 from faceverify.pipeline import PipelineConfig, load_config, run_pipeline, write_config
 from faceverify.storage import read_checkpoint, read_features, write_checkpoint, write_features, write_metric_model
@@ -145,9 +145,23 @@ class TestSynthCommand:
         ("--dim", "dim", "0"), ("--dim", "dim", "-3"),
     ])
     def test_size_below_one_fails_before_writing(self, tmp_path, capsys, flag, field, value):
+        # the model names its field; synth names the flag the user typed
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            SyntheticEmbeddingModel(**{**dict(dim=2, num_subjects=2, samples_per_subject=2), field: int(value)})
         out = tmp_path / "data"
         assert main(["synth", "--out-dir", str(out), flag, value]) == 1
-        assert capsys.readouterr().err == f"synth: error: {field} must be >= 1, got {value}\n"
+        assert capsys.readouterr().err == f"synth: error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--s-mu=-1"], "--s-mu must be a finite number >= 0, got -1.0"),
+        (["--s-eps", "nan"], "--s-eps must be a finite number >= 0, got nan"),
+        (["--s-mu", "0", "--s-eps", "0"], "--s-mu and --s-eps are both zero, so every sample would be zero"),
+    ], ids=["s-mu-negative", "s-eps-nan", "both-zero"])
+    def test_bad_scale_names_the_flag_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"synth: error: {message}\n"
         assert not out.exists()
 
 
@@ -394,10 +408,10 @@ class TestStageCommands:
             "--manifest", str(synth_run / "media.csv"), "--out", str(out), "--epochs", epochs,
         ])
         assert rc == 1
-        assert capsys.readouterr().err == f"train-metric: error: epochs must be >= 1, got {epochs}\n"
+        assert capsys.readouterr().err == f"train-metric: error: --epochs must be >= 1, got {epochs}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--gamma-b", "inf"), ("--gamma", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--gamma-b", "inf"), ("--gamma", "-1"), ("--ratio", "0")])
     def test_train_metric_bad_rate_fails_before_writing(self, synth_run, tmp_path, capsys, flag, value):
         out = tmp_path / "metric.jvjb"
         rc = main([
@@ -405,9 +419,8 @@ class TestStageCommands:
             "--manifest", str(synth_run / "media.csv"), "--out", str(out), flag, value,
         ])
         assert rc == 1
-        name = flag[2:].replace("-", "_")
-        message = f"{name} must be a finite number >= 0, got {float(value)}"
-        assert capsys.readouterr().err == f"train-metric: error: {message}\n"
+        rule = "must be >= 1, got 0" if flag == "--ratio" else f"must be a finite number >= 0, got {float(value)}"
+        assert capsys.readouterr().err == f"train-metric: error: {flag} {rule}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scorer, probe_dim, model_dim, dims", [
@@ -551,7 +564,7 @@ class TestTrainExtractCommands:
         rc = main(["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out),
                    "--width-divisor", "16", "--iters", "2", "--batch-size", "2", f"--lr={value}"])
         assert rc == 1
-        message = f"learning_rate must be a finite number >= 0, got {float(value)}"
+        message = f"--lr must be a finite number >= 0, got {float(value)}"
         assert capsys.readouterr().err == f"train-cnn: error: {message}\n"
         assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
 
@@ -604,6 +617,7 @@ class TestTrainExtractCommands:
         ("zero-input", "input shape (0, 0, 1) has a size below 1"),  # extracted NaN features before
         ("two-input-sizes", "input shape (8, 8) is not (h, w, c)"),
         ("four-input-sizes", "input shape (8, 8, 1, 1) is not (h, w, c)"),
+        ("nan-lrn-alpha", "lrn alpha must be a finite number >= 0, got nan"),  # extracted NaN features before
     ])
     def test_extract_names_a_bad_checkpoint_before_writing(self, net8, tmp_path, capsys, defect, message):
         if defect == "nan-weight":
@@ -613,6 +627,8 @@ class TestTrainExtractCommands:
         elif defect == "oversized-layer":
             replace_spec_text(net8, "name=conv11 in_channels=1 out_channels=2",
                               "name=conv11 in_channels=3000000 out_channels=3000000")
+        elif defect == "nan-lrn-alpha":
+            replace_spec_text(net8, "name=norm1 size=5 alpha=0.0001", "name=norm1 size=5 alpha=nan")
         else:
             shape = {"zero-input": "0,0,1", "two-input-sizes": "8,8", "four-input-sizes": "8,8,1,1"}[defect]
             replace_spec_text(net8, "input=8,8,1", f"input={shape}")
@@ -804,18 +820,20 @@ class TestReportCommand:
             ("[protocol]\nranks = 0\n", "rank must be at least 1, got 0"),
             ("[protocol]\nfars = 2\n", "far must be in (0, 1], got 2.0"),
             ("[metric]\nepochs = 0\n", "epochs must be >= 1, got 0"),
-            ("[source]\nsynth_subjects = 0\n", "num_subjects must be >= 1, got 0"),
-            ("[source]\nsynth_dim = 0\n", "dim must be >= 1, got 0"),
-            ("[source]\nsynth_s_mu = -1\n", "covariance scale must be >= 0, got -1.0"),
-            ("[source]\nsynth_s_mu = nan\n", "covariance scale must be finite, got nan"),
-            ("[source]\nsynth_s_eps = inf\n", "covariance scale must be finite, got inf"),
-            ("[source]\nsynth_s_mu = 0\nsynth_s_eps = 0\n", "between_cov and within_cov are both zero"),
+            ("[source]\nsynth_subjects = 0\n", "synth_subjects must be >= 1, got 0"),
+            ("[source]\nsynth_samples = 0\n", "synth_samples must be >= 1, got 0"),
+            ("[source]\nsynth_dim = 0\n", "synth_dim must be >= 1, got 0"),
+            ("[source]\nsynth_s_mu = -1\n", "synth_s_mu must be a finite number >= 0, got -1.0"),
+            ("[source]\nsynth_s_mu = nan\n", "synth_s_mu must be a finite number >= 0, got nan"),
+            ("[source]\nsynth_s_eps = inf\n", "synth_s_eps must be a finite number >= 0, got inf"),
+            ("[source]\nsynth_s_mu = 0\nsynth_s_eps = 0\n", "synth_s_mu and synth_s_eps are both zero"),
+            ("[metric]\nneg_to_pos_ratio = 0\n", "neg_to_pos_ratio must be >= 1, got 0"),
             ("[metric]\ngamma = nan\n", "gamma must be a finite number >= 0, got nan"),
             ("[metric]\ngamma_b = inf\n", "gamma_b must be a finite number >= 0, got inf"),
         ],
         ids=["unknown-key", "unknown-section", "default-section", "bad-bool", "bad-int",
-             "empty-far", "rank-0", "far-2", "epochs-0", "subjects-0", "dim-0", "s-mu-negative",
-             "s-mu-nan", "s-eps-inf", "s-mu-s-eps-zero", "gamma-nan", "gamma-b-inf"],
+             "empty-far", "rank-0", "far-2", "epochs-0", "subjects-0", "samples-0", "dim-0", "s-mu-negative",
+             "s-mu-nan", "s-eps-inf", "s-mu-s-eps-zero", "ratio-0", "gamma-nan", "gamma-b-inf"],
     )
     def test_config_rejects_unknown_names_and_bad_values(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.ini"

@@ -328,6 +328,20 @@ class TestCrossChannelNorm:
         with pytest.raises(ValueError):
             CrossChannelNorm(4)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("size", -1, "odd and >= 1"),
+        ("alpha", np.nan, "a finite number >= 0"),
+        ("alpha", -1e9, "a finite number >= 0"),
+        ("beta", np.inf, "finite"),
+        ("beta", -np.inf, "finite"),
+        ("k", -1.0, "a finite number > 0"),
+        ("k", 0.0, "a finite number > 0"),
+        ("k", np.nan, "a finite number > 0"),
+    ])
+    def test_bad_field_rejected_naming_it(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^lrn {field} must be {rule}, got {value}$"):
+            CrossChannelNorm(**{field: value})
+
 
 class TestMaxPool:
     def test_ceil_mode_sizes(self):

@@ -14,7 +14,25 @@ from conftest import MaskPairSampler, plain_train_metric
 from faceverify.evaluation import cmc, roc
 from faceverify.linalg import make_rng
 from faceverify.metric import JointBayesModel, MetricTrainConfig, PairSampler, train_metric
-from faceverify.storage import read_features, read_metric_model, write_features, write_metric_model
+from faceverify.micronet import (
+    Conv3x3,
+    CrossChannelNorm,
+    Dense,
+    Dropout,
+    GlobalAvgPool,
+    MaxPool2x2,
+    Network,
+    PReLU,
+    SoftmaxXent,
+)
+from faceverify.storage import (
+    read_checkpoint,
+    read_features,
+    read_metric_model,
+    write_checkpoint,
+    write_features,
+    write_metric_model,
+)
 from faceverify.templates import pool_template, read_score_matrix, write_score_matrix
 
 CAPPED = settings(
@@ -119,6 +137,55 @@ def test_metric_model_round_trips_exactly(tmp_path, model):
     assert got.M.tobytes() == model.M.tobytes()
     assert got.B.tobytes() == model.B.tobytes()
     assert np.float64(got.b).tobytes() == np.float64(model.b).tobytes()
+
+
+@st.composite
+def checkpoint_nets(draw):
+    """A small net of every layer kind with generated fields: channel
+    counts, an LRN within its rules, a dropout rate, the input mean and
+    every parameter value."""
+    c_in, c1, c2 = (draw(st.integers(1, 4)) for _ in range(3))
+    classes = draw(st.integers(2, 5))
+    lrn = CrossChannelNorm(
+        size=2 * draw(st.integers(0, 4)) + 1,
+        alpha=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        beta=draw(finite),
+        k=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    )
+    layers = [
+        ("conv1", Conv3x3(c_in, c1)),
+        ("prelu1", PReLU(c1)),
+        ("norm1", lrn),
+        ("pool1", MaxPool2x2()),
+        ("conv2", Conv3x3(c1, c2)),
+        ("pool2", GlobalAvgPool()),
+        ("drop", Dropout(draw(st.floats(0.0, 1.0, exclude_max=True)))),
+        ("fc", Dense(c2, classes)),
+        ("cost", SoftmaxXent()),
+    ]
+    net = Network(layers, (draw(st.integers(1, 6)), draw(st.integers(1, 6)), c_in), classes)
+    net.input_mean = draw(finite)
+    for _, _, value, _, _ in net.param_items():
+        value[...] = draw(arrays(np.float64, value.shape, elements=finite))
+    return net
+
+
+@CAPPED
+@given(checkpoint_nets())
+def test_checkpoint_round_trips_exactly(tmp_path, net):
+    path, again = tmp_path / "net.jvnt", tmp_path / "again.jvnt"
+    write_checkpoint(path, net)
+    back = read_checkpoint(path)
+    write_checkpoint(again, back)
+    assert again.read_bytes() == path.read_bytes()  # the same spec text, then the same parameter bytes
+    assert back.spec == net.spec
+    assert np.float64(back.input_mean).tobytes() == np.float64(net.input_mean).tobytes()
+    for before, after in zip(net.layers, back.layers, strict=True):
+        for f in before.fields:
+            want, got = getattr(before, f), getattr(after, f)
+            assert type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes(), f
+    for (_, name, want, _, _), (_, _, got, _, _) in zip(net.param_items(), back.param_items(), strict=True):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
 
 
 template_ids = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)

@@ -117,6 +117,18 @@ class TestCheckpoint:
             ("in_channels=1 out_channels=8", "in_channels=3000000 out_channels=3000000"),  # too large to allocate
             ("input_mean=0.0", "input_mean=nan"),
             ("input_mean=0.0", "input_mean=-inf"),
+            # each of these LRN fields loaded before, and extract wrote NaN
+            # features or failed naming no file
+            ("name=norm1 size=5", "name=norm1 size=-1"),
+            ("name=norm1 size=5", "name=norm1 size=0"),
+            ("alpha=0.0001", "alpha=nan"),
+            ("alpha=0.0001", "alpha=-1e9"),
+            ("alpha=0.0001", "alpha=inf"),
+            ("beta=0.75", "beta=inf"),
+            ("beta=0.75", "beta=nan"),
+            ("k=1.0", "k=-1.0"),
+            ("k=1.0", "k=0.0"),
+            ("k=1.0", "k=inf"),
         ],
     )
     def test_bad_spec_line_names_file(self, tmp_path, old, new):
