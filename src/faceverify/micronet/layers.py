@@ -10,6 +10,12 @@ batch, and concurrent eval-mode forwards may share one layer.  The one
 exception is SoftmaxXent, which keeps its probabilities in both modes
 for loss() to read; Network.features stops before it.
 
+A layer makes its parameters on their first use, under one lock, so
+two forwards that first use a layer at once both see the same arrays.
+They start at their starting values, or come from the loader that
+`load_params_with` set (a checkpoint reader's, for a layer whose bytes
+it checked but did not keep).
+
 Gradient arrays start as np.zeros, not np.zeros_like: np.zeros takes
 zeroed memory (calloc), so a large array's pages stay untouched until
 written, and every backward replaces the arrays, so a net that only
@@ -27,6 +33,8 @@ Parameter conventions:
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -54,6 +62,9 @@ _WINDOW_BLOCK = 32768
 # OpenBLAS 0.3.31 sends a GEMM of at most about this many multiply-adds
 # (M*N*K) to a small-matrix kernel, which may sum a row in another order.
 _SMALL_GEMM = 1_000_000
+
+# Held while any layer makes its parameters (Layer.__getattr__).
+_MAKE_PARAMS = threading.Lock()
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -90,10 +101,15 @@ class Layer:
     checkpoint fields to its type, in checkpoint order.  The constructor
     takes exactly those fields (plus `dtype`, if it has parameters) and
     keeps each as an attribute of the same name.
+
+    `params` maps each parameter to its weight-decay group, in checkpoint
+    order.  Parameter p is attribute p, its gradient grad_p; both exist
+    from the first read of any of them (see __getattr__).
     """
 
     kind = "layer"
     fields: dict[str, type] = {}
+    params: dict[str, str] = {}
     # Network clears this on its first layer, whose input gradient
     # nothing reads; backward may then skip it and return None.
     _input_grad = True
@@ -104,9 +120,40 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """The shape of each parameter, in `params` order."""
+        return []
+
+    def _start_values(self) -> list[np.ndarray]:
+        return [np.zeros(shape, dtype=self.dtype) for shape in self.param_shapes()]
+
+    def load_params_with(self, load) -> None:
+        """Have the parameters come from load() on their first use, in
+        place of their starting values.  load returns one array per
+        parameter, in `params` order, or raises; a load that raised is
+        tried again at the next use, so no read ever sees a stand-in."""
+        self._load = load
+
+    def __getattr__(self, name):
+        """Make every parameter and gradient on the first read of one
+        (Python calls this only for an attribute not yet set).  An
+        attribute set before then is kept."""
+        if name not in self.params and name.removeprefix("grad_") not in self.params:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _MAKE_PARAMS:
+            made = self.__dict__
+            if name not in made:
+                load = made.get("_load")
+                values = load() if load is not None else self._start_values()
+                for param, value in zip(self.params, values):
+                    made.setdefault("grad_" + param, np.zeros(value.shape, dtype=value.dtype))
+                    made.setdefault(param, value)
+                made.pop("_load", None)
+            return made[name]
+
     def param_items(self):
         """(name, value array, grad array, decay group) per parameter."""
-        return []
+        return [(p, getattr(self, p), getattr(self, "grad_" + p), group) for p, group in self.params.items()]
 
 
 class Conv3x3(Layer):
@@ -130,16 +177,16 @@ class Conv3x3(Layer):
 
     kind = "conv3x3"
     fields = {"in_channels": int, "out_channels": int}
+    params = {"weights": "conv", "bias": "none"}
 
     def __init__(self, in_channels: int, out_channels: int, dtype=np.float64):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.dtype = dtype
-        self.weights = np.zeros((3, 3, in_channels, out_channels), dtype=dtype)
-        self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
-        self.grad_bias = np.zeros(out_channels, dtype=dtype)
         self._xp = None
+
+    def param_shapes(self):
+        return [(3, 3, self.in_channels, self.out_channels), (self.out_channels,)]
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
         n, h, w, c = x.shape
@@ -204,12 +251,6 @@ class Conv3x3(Layer):
         count = max(1, n // -(-rows // pixels))  # every group gets at least that many images
         return [(n * g // count, n * (g + 1) // count) for g in range(count)]
 
-    def param_items(self):
-        return [
-            ("weights", self.weights, self.grad_weights, "conv"),
-            ("bias", self.bias, self.grad_bias, "none"),
-        ]
-
 
 class PReLU(Layer):
     """Per-channel parametric rectifier with trainable negative slopes,
@@ -217,13 +258,19 @@ class PReLU(Layer):
 
     kind = "prelu"
     fields = {"in_channels": int}
+    params = {"slope": "none"}
 
     def __init__(self, in_channels: int, dtype=np.float64):
         self.in_channels = in_channels
-        self.slope = np.full(in_channels, 0.25, dtype=dtype)
-        self.grad_slope = np.zeros(in_channels, dtype=dtype)
+        self.dtype = dtype
         self._x = None
         self._neg = None
+
+    def param_shapes(self):
+        return [(self.in_channels,)]
+
+    def _start_values(self):
+        return [np.full(self.in_channels, 0.25, dtype=self.dtype)]
 
     def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.in_channels:
@@ -249,9 +296,6 @@ class PReLU(Layer):
         coeff -= shift
         coeff *= grad_out
         return coeff
-
-    def param_items(self):
-        return [("slope", self.slope, self.grad_slope, "none")]
 
 
 class CrossChannelNorm(Layer):
@@ -436,15 +480,16 @@ class Dense(Layer):
 
     kind = "fully_connected"
     fields = {"in_channels": int, "out_channels": int}
+    params = {"weights": "fc", "bias": "none"}
 
     def __init__(self, in_channels: int, out_channels: int, dtype=np.float64):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weights = np.zeros((in_channels, out_channels), dtype=dtype)
-        self.bias = np.zeros(out_channels, dtype=dtype)
-        self.grad_weights = np.zeros(self.weights.shape, dtype=dtype)
-        self.grad_bias = np.zeros(out_channels, dtype=dtype)
+        self.dtype = dtype
         self._x = None
+
+    def param_shapes(self):
+        return [(self.in_channels, self.out_channels), (self.out_channels,)]
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.in_channels:
@@ -456,12 +501,6 @@ class Dense(Layer):
         self.grad_weights = _cached(self._x).T @ grad_out
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weights.T
-
-    def param_items(self):
-        return [
-            ("weights", self.weights, self.grad_weights, "fc"),
-            ("bias", self.bias, self.grad_bias, "none"),
-        ]
 
 
 class SoftmaxXent(Layer):

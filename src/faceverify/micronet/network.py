@@ -72,7 +72,8 @@ class NetworkSpec:
 class Network:
     """Named layers in order, with the spec derived from them.  The
     compute dtype is the parameters' (float64 when there are none), and
-    the global-average-pool layer gives the feature descriptor."""
+    the global-average-pool layer, layers[feature_index], gives the
+    feature descriptor."""
 
     def __init__(self, named_layers, input_shape: tuple, num_classes: int):
         named_layers = list(named_layers)  # read twice: layers, then spec
@@ -80,14 +81,14 @@ class Network:
             raise ValueError(f"input shape {tuple(input_shape)} is not (h, w, c)")
         if any(size < 1 for size in input_shape):
             raise ValueError(f"input shape {tuple(input_shape)} has a size below 1")
+        _check_channels(named_layers, input_shape[2], num_classes)
         self.layers: list[Layer] = [layer for _, layer in named_layers]
         specs = (LayerSpec(layer.kind, name) for name, layer in named_layers)
         self.spec = NetworkSpec(tuple(specs), tuple(input_shape), num_classes)
-        params = [value for _, _, value, _, _ in self.param_items()]
-        self.dtype = params[0].dtype.type if params else np.float64
+        self.dtype = next((np.dtype(layer.dtype).type for layer in self.layers if layer.params), np.float64)
         self.input_mean = 0.0
-        self._feature_index = next((i for i, layer in enumerate(self.layers) if isinstance(layer, GlobalAvgPool)), None)
-        if self._feature_index is None:
+        self.feature_index = next((i for i, layer in enumerate(self.layers) if isinstance(layer, GlobalAvgPool)), None)
+        if self.feature_index is None:
             raise ValueError("network has no global-average-pool feature layer")
         self.layers[0]._input_grad = False  # nothing reads the input's gradient
 
@@ -152,7 +153,7 @@ class Network:
             return np.concatenate(list(pool.map(self._pooled, (x[i : i + 1] for i in range(n)))))
 
     def _pooled(self, x: np.ndarray) -> np.ndarray:
-        for out in self._walk(x, stop=self._feature_index + 1):
+        for out in self._walk(x, stop=self.feature_index + 1):
             pass  # each activation is dropped once the next one exists
         return out
 
@@ -160,6 +161,23 @@ class Network:
         for layer in self.layers:
             for item in layer.param_items():
                 yield (layer, *item)
+
+
+def _check_channels(named_layers, channels: int, num_classes: int) -> None:
+    """Each layer that declares in_channels must get that many from the
+    input or the layer before, and the last fully connected layer must
+    give num_classes; a layer that declares out_channels changes the
+    count, every other layer keeps it."""
+    classes = None
+    for name, layer in named_layers:
+        need = getattr(layer, "in_channels", channels)
+        if need != channels:
+            raise ValueError(f"layer {name or layer.kind} takes {need} channels, but {channels} reach it")
+        channels = getattr(layer, "out_channels", channels)
+        if isinstance(layer, Dense):
+            classes = (name or layer.kind, channels)
+    if classes is not None and classes[1] != num_classes:
+        raise ValueError(f"layer {classes[0]} gives {classes[1]} classes, not num_classes={num_classes}")
 
 
 def _walkers() -> int:

@@ -6,7 +6,11 @@ Three little-endian binary formats, each opened by a four-byte magic:
   JVNT  network checkpoint: magic, version u32, length-prefixed text
         spec, then all parameters as float64 in layer order
         (conv: weights then bias; prelu: slopes; dense: weights then
-        bias), each array flattened row-major.
+        bias), each array flattened row-major.  The reader keeps in
+        memory only the layers up to the feature layer.  It checks the
+        bytes of every later layer (the classifier) as it reads past
+        them, and that layer reads them again on its first use; if the
+        file has changed in between, that use fails naming the file.
   JVFE  feature matrix: magic, dim u32, count u64, count*dim float32;
         a text sidecar at <path>.ids maps row -> media id, one per line.
         The sidecar is replaced first and the matrix last, so once a new
@@ -20,9 +24,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +53,9 @@ CHECKPOINT_MAGIC = b"JVNT"
 CHECKPOINT_VERSION = 1
 FEATURE_MAGIC = b"JVFE"
 METRIC_MAGIC = b"JVJB"
+
+# Bytes per read while the reader checks a layer past the feature layer.
+_CHUNK = 1 << 20
 
 
 def write_file(path, chunks) -> None:
@@ -105,6 +114,11 @@ def _read_f8_into(fh, value: np.ndarray, path, what: str) -> None:
         value.byteswap(inplace=True)
 
 
+def _check_finite(value: np.ndarray, path, layer: str, param: str) -> None:
+    if not np.isfinite(value).all():
+        raise ValueError(f"{path}: {layer} {param} holds NaN or inf")
+
+
 def _expect_end(fh, path, what: str) -> None:
     if fh.read(1):
         raise ValueError(f"{path}: trailing bytes after {what}")
@@ -136,7 +150,10 @@ def _layer_from_text(line: str) -> tuple[str, Layer]:
         raise ValueError(f"unknown layer kind {kind!r}")
     if sorted(fields) != sorted(cls.fields):
         raise ValueError(f"layer {kind} takes fields {', '.join(cls.fields) or '(none)'}, got {line!r}")
-    return name, cls(**{f: cls.fields[f](raw) for f, raw in fields.items()})
+    try:
+        return name, cls(**{f: cls.fields[f](raw) for f, raw in fields.items()})
+    except ValueError as exc:
+        raise ValueError(f"layer {name or kind}: {exc}") from exc
 
 
 def _net_from_text(text: str) -> Network:
@@ -175,6 +192,16 @@ def write_checkpoint(path, net: Network) -> None:
 
 
 def read_checkpoint(path) -> Network:
+    """The network a checkpoint holds, with every parameter checked
+    finite and the file's length checked exact.
+
+    Parameters up to the feature layer are read into the net.  Those of
+    each later layer are read past in _CHUNK-byte pieces and checked,
+    and only their offset and crc32 are kept: `Network.features` never
+    runs those layers, and the stock classifier is most of the file.
+    The layer reads its bytes from path again on first use, through
+    `Layer.load_params_with`, and that read fails naming the file if
+    the file is not the one that was checked."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a network checkpoint")
@@ -185,15 +212,57 @@ def read_checkpoint(path) -> Network:
         spec_bytes = _read_exact(fh, spec_len, path, "spec")
         try:
             net = _net_from_text(spec_bytes.decode("utf-8"))
-        except (ValueError, MemoryError) as exc:  # MemoryError: a layer too large to allocate
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        for spec, layer in zip(net.spec.layers, net.layers):
-            for name, value, _, _ in layer.param_items():
-                _read_f8_into(fh, value, path, "parameter data")
-                if not np.isfinite(value).all():
-                    raise ValueError(f"{path}: {spec.name} {name} holds NaN or inf")
+        # a layer too large for the file fails here, before any allocation
+        sizes = [math.prod(shape) for layer in net.layers for shape in layer.param_shapes()]
+        _check_left(fh, 8 * sum(sizes), path, "parameter data")
+        for index, (spec, layer) in enumerate(zip(net.spec.layers, net.layers)):
+            if index <= net.feature_index:
+                for name, value, _, _ in layer.param_items():
+                    _read_f8_into(fh, value, path, "parameter data")
+                    _check_finite(value, path, spec.name, name)
+            elif layer.params:
+                layer.load_params_with(_read_past(fh, path, spec.name, layer))
         _expect_end(fh, path, "parameters")
     return net
+
+
+def _read_past(fh, path, layer_name: str, layer: Layer):
+    """Check a layer's parameter bytes at fh's position in pieces, keep
+    none of them, and return the loader that reads them from path again
+    (checking the file's size, every value and the crc32 of the bytes)."""
+    offset, size, crc = fh.tell(), os.fstat(fh.fileno()).st_size, 0
+    names, shapes = list(layer.params), layer.param_shapes()
+    piece = memoryview(bytearray(_CHUNK))
+    for name, shape in zip(names, shapes):
+        left = 8 * math.prod(shape)
+        while left:
+            view = piece[: min(left, _CHUNK)]
+            if fh.readinto(view) != len(view):
+                raise ValueError(f"{path}: truncated parameter data")
+            _check_finite(np.frombuffer(view, dtype="<f8"), path, layer_name, name)
+            crc = zlib.crc32(view, crc)
+            left -= len(view)
+    where = os.path.abspath(path)  # the same file whatever the working directory is by then
+
+    def load() -> list[np.ndarray]:
+        changed = f"{path}: changed since it was read, so {layer_name} cannot load its parameters"
+        values = [np.empty(shape) for shape in shapes]
+        got = 0
+        with open(where, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != size:
+                raise ValueError(changed)
+            fh.seek(offset)
+            for name, value in zip(names, values):
+                _read_f8_into(fh, value, path, "parameter data")
+                _check_finite(value, path, layer_name, name)
+                got = zlib.crc32(np.ascontiguousarray(value, dtype="<f8"), got)
+        if got != crc:
+            raise ValueError(changed)
+        return values
+
+    return load
 
 
 def _ids_path(path) -> Path:

@@ -613,22 +613,36 @@ class TestTrainExtractCommands:
 
     @pytest.mark.parametrize("defect, message", [
         ("nan-weight", "conv11 weights holds NaN or inf"),
-        ("oversized-layer", ""),  # numpy's MemoryError text follows the file name
+        ("nan-fc6-weight", "fc6 weights holds NaN or inf"),  # fc6 is checked though extract never runs it
+        ("inf-fc6-bias", "fc6 bias holds NaN or inf"),
+        ("truncated-in-fc6", "truncated parameter data"),
+        ("trailing-bytes", "trailing bytes after parameters"),
+        ("oversized-layer", "layer conv11 takes 3000000 channels, but 1 reach it"),
+        ("channels-do-not-chain", "layer prelu11 takes 3 channels, but 2 reach it"),
         ("zero-input", "input shape (0, 0, 1) has a size below 1"),  # extracted NaN features before
         ("two-input-sizes", "input shape (8, 8) is not (h, w, c)"),
         ("four-input-sizes", "input shape (8, 8, 1, 1) is not (h, w, c)"),
-        ("nan-lrn-alpha", "lrn alpha must be a finite number >= 0, got nan"),  # extracted NaN features before
+        ("nan-lrn-alpha", "layer norm1: lrn alpha must be a finite number >= 0, got nan"),  # extracted NaN features before
+        ("nan-lrn2-alpha", "layer norm2: lrn alpha must be a finite number >= 0, got nan"),
     ])
     def test_extract_names_a_bad_checkpoint_before_writing(self, net8, tmp_path, capsys, defect, message):
-        if defect == "nan-weight":
+        if defect in ("nan-weight", "nan-fc6-weight", "inf-fc6-bias"):
             net = read_checkpoint(net8)
-            net.layers[0].weights[0, 0, 0, 0] = np.nan
+            layer, param, value = {"nan-weight": (0, "weights", np.nan), "nan-fc6-weight": (-2, "weights", np.nan),
+                                   "inf-fc6-bias": (-2, "bias", np.inf)}[defect]
+            getattr(net.layers[layer], param).flat[1] = value
             write_checkpoint(net8, net)
+        elif defect in ("truncated-in-fc6", "trailing-bytes"):
+            data = net8.read_bytes()
+            net8.write_bytes(data[:-24] if defect == "truncated-in-fc6" else data + bytes(8))
         elif defect == "oversized-layer":
             replace_spec_text(net8, "name=conv11 in_channels=1 out_channels=2",
                               "name=conv11 in_channels=3000000 out_channels=3000000")
-        elif defect == "nan-lrn-alpha":
-            replace_spec_text(net8, "name=norm1 size=5 alpha=0.0001", "name=norm1 size=5 alpha=nan")
+        elif defect == "channels-do-not-chain":
+            replace_spec_text(net8, "name=prelu11 in_channels=2", "name=prelu11 in_channels=3")
+        elif defect in ("nan-lrn-alpha", "nan-lrn2-alpha"):
+            name = "norm1" if defect == "nan-lrn-alpha" else "norm2"
+            replace_spec_text(net8, f"name={name} size=5 alpha=0.0001", f"name={name} size=5 alpha=nan")
         else:
             shape = {"zero-input": "0,0,1", "two-input-sizes": "8,8", "four-input-sizes": "8,8,1,1"}[defect]
             replace_spec_text(net8, "input=8,8,1", f"input={shape}")

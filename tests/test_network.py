@@ -10,7 +10,7 @@ import pytest
 
 from faceverify.linalg import make_rng
 from faceverify.micronet import build_face_net, extract_features, network
-from faceverify.micronet.layers import Conv3x3, Dense, GlobalAvgPool, SoftmaxXent
+from faceverify.micronet.layers import Conv3x3, Dense, GlobalAvgPool, PReLU, SoftmaxXent
 from faceverify.micronet.network import LAYER_KINDS, Network
 from faceverify.storage import read_checkpoint, write_checkpoint
 
@@ -122,6 +122,18 @@ class TestStockArchitecture:
         pairs = [("gap", GlobalAvgPool()), ("fc", Dense(1, 3)), ("cost", SoftmaxXent())]
         with pytest.raises(ValueError, match=re.escape(f"input shape {shape} has a size below 1")):
             Network(pairs, shape, 3)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([("conv", Conv3x3(2, 2)), ("gap", GlobalAvgPool()), ("fc", Dense(2, 3))], "layer conv takes 2 channels, but 1 reach it"),
+    ([("conv", Conv3x3(1, 2)), ("act", PReLU(3)), ("gap", GlobalAvgPool()), ("fc", Dense(2, 3))],
+     "layer act takes 3 channels, but 2 reach it"),
+    ([("conv", Conv3x3(1, 2)), ("gap", GlobalAvgPool()), ("fc", Dense(3, 3))], "layer fc takes 3 channels, but 2 reach it"),
+    ([("conv", Conv3x3(1, 2)), ("gap", GlobalAvgPool()), ("fc", Dense(2, 4))], "layer fc gives 4 classes, not num_classes=3"),
+], ids=["first-layer", "prelu-after-conv", "classifier-input", "classifier-output"])
+def test_network_rejects_channels_that_do_not_chain(pairs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Network([*pairs, ("cost", SoftmaxXent())], (4, 4, 1), 3)
 
 
 @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))

@@ -1,6 +1,10 @@
 import ast
 import os
+import re
 import struct
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,10 @@ GOLDEN_NETS = {
     "stock": {},
     "toy": dict(num_classes=10, input_size=32, width_divisor=4, dtype=np.float32),
 }
+
+
+def layers_by_name(net) -> dict:
+    return {spec.name: layer for spec, layer in zip(net.spec.layers, net.layers)}
 
 
 def spec_text(path) -> str:
@@ -139,13 +147,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="model.jvnt"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameter_names_file_and_layer(self, tmp_path, value):
+    @pytest.mark.parametrize("layer, param, value", [
+        *(pytest.param("conv12", "weights", v, id=str(v)) for v in (np.nan, np.inf, -np.inf)),
+        # fc6 sits past the feature layer: its bytes are checked, not kept
+        *(pytest.param("fc6", p, v, id=f"fc6-{p}-{v}") for p in ("weights", "bias") for v in (np.nan, np.inf, -np.inf)),
+    ])
+    def test_non_finite_parameter_names_file_and_layer(self, tmp_path, layer, param, value):
         net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
-        net.layers[2].weights[1, 2, 0, 3] = value
+        getattr(layers_by_name(net)[layer], param).flat[3] = value
         path = tmp_path / "model.jvnt"
         write_checkpoint(path, net)
-        with pytest.raises(ValueError, match="model.jvnt: conv12 weights holds NaN or inf"):
+        with pytest.raises(ValueError, match=f"model.jvnt: {layer} {param} holds NaN or inf"):
             read_checkpoint(path)
 
     def test_magic_enforced(self, tmp_path):
@@ -159,9 +171,152 @@ class TestCheckpoint:
         path = tmp_path / "model.jvnt"
         write_checkpoint(path, net)
         data = path.read_bytes()
-        path.write_bytes(data[:-16])
+        path.write_bytes(data[:-16])  # inside fc6's bias
         with pytest.raises(ValueError, match="truncated"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [4 * 8 + 8 * 20, 4 * 8 + 40 * 4 + 8], ids=["fc6-weights", "conv52"])
+    def test_truncation_elsewhere_names_the_file(self, tmp_path, cut):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="model.jvnt: truncated parameter data"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes_after_the_classifier_rejected(self, tmp_path):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="model.jvnt: trailing bytes after parameters"):
+            read_checkpoint(path)
+
+    def test_layer_too_large_for_the_file_fails_before_allocating(self, tmp_path):
+        # the channels chain, so only the file's size can reject it
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        replace_spec_text(path, "input=16,16,1", "input=16,16,3000000")
+        replace_spec_text(path, "name=conv11 in_channels=1", "name=conv11 in_channels=3000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="model.jvnt: truncated parameter data"):
+                read_checkpoint(path)
+            assert tracemalloc.get_traced_memory()[1] < 2e6
+        finally:
+            tracemalloc.stop()
+
+    def test_fc6_in_channels_that_pool5_does_not_give_names_file_and_layer(self, tmp_path):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        replace_spec_text(path, "name=fc6 in_channels=40", "name=fc6 in_channels=2")
+        with pytest.raises(ValueError, match="model.jvnt: layer fc6 takes 2 channels, but 40 reach it"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("layer", ["norm1", "norm2"])
+    def test_bad_layer_field_names_file_and_layer(self, tmp_path, layer):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        replace_spec_text(path, f"name={layer} size=5 alpha=0.0001", f"name={layer} size=5 alpha=-1.0")
+        with pytest.raises(ValueError, match=f"model.jvnt: layer {layer}: lrn alpha must be a finite number >= 0"):
+            read_checkpoint(path)
+
+
+class TestDeferredClassifier:
+    """read_checkpoint checks fc6's bytes but keeps none of them; fc6
+    reads them again from the file on its first use."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        net = build_face_net(num_classes=6, input_size=16, width_divisor=8)
+        net.initialize(make_rng(5), 0.1)
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        return net, path
+
+    def test_read_holds_no_classifier_array(self, tmp_path):
+        # fc6 of 40 x 20000 is 6.4 MB, and twice that with its gradient
+        net = build_face_net(num_classes=20000, width_divisor=8)
+        path = tmp_path / "big.jvnt"
+        write_checkpoint(path, net)
+        tracemalloc.start()
+        try:
+            read_checkpoint(path)
+            assert tracemalloc.get_traced_memory()[1] < 2e6
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("first_use", ["attribute", "param_items", "forward", "write_checkpoint", "initialize"])
+    def test_every_read_path_loads_the_saved_values(self, saved, tmp_path, first_use):
+        net, path = saved
+        back = read_checkpoint(path)
+        fc6 = layers_by_name(back)["fc6"]
+        want = layers_by_name(net)["fc6"]
+        x = make_rng(6).random((2, 16, 16, 1))
+        if first_use == "attribute":
+            fc6.bias
+        elif first_use == "param_items":
+            assert [value.tobytes() for layer, _, value, _, _ in back.param_items() if layer is fc6] == [
+                want.weights.tobytes(), want.bias.tobytes()]
+        elif first_use == "forward":
+            assert back.forward(x)[-1].tobytes() == net.forward(x)[-1].tobytes()
+        elif first_use == "write_checkpoint":
+            write_checkpoint(tmp_path / "again.jvnt", back)
+            assert (tmp_path / "again.jvnt").read_bytes() == path.read_bytes()
+        else:  # loaded first, so a later use cannot put the saved values back
+            back.initialize(make_rng(7), 0.1)
+            fresh = build_face_net(num_classes=6, input_size=16, width_divisor=8)
+            fresh.initialize(make_rng(7), 0.1)
+            want = layers_by_name(fresh)["fc6"]
+        assert fc6.weights.tobytes() == want.weights.tobytes() and fc6.bias.tobytes() == want.bias.tobytes()
+        assert fc6.grad_weights.shape == fc6.weights.shape and not fc6.grad_weights.any()
+
+    @pytest.mark.parametrize("change", ["replaced", "truncated", "rewritten-in-place", "extended", "nan-in-place"])
+    def test_file_changed_before_first_use_fails_naming_it(self, saved, change):
+        net, path = saved
+        back = read_checkpoint(path)
+        data = bytearray(path.read_bytes())
+        if change == "replaced":
+            other = build_face_net(num_classes=6, input_size=16, width_divisor=8)
+            other.initialize(make_rng(8), 0.1)
+            write_checkpoint(path, other)
+        elif change == "truncated":
+            path.write_bytes(data[:-8])
+        elif change == "extended":
+            path.write_bytes(data + bytes(8))
+        else:  # the same inode and size: one bit of fc6's weights flipped, or a NaN bias
+            if change == "rewritten-in-place":
+                data[-60] ^= 1
+            else:
+                data[-8:] = np.float64(np.nan).tobytes()
+            with open(path, "r+b") as fh:
+                fh.write(data)
+        fc6 = layers_by_name(back)["fc6"]
+        for _ in range(2):  # a failed load is tried again, never replaced by zeros
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                fc6.weights
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            list(back.param_items())
+        x = make_rng(6).random((1, 16, 16, 1))
+        assert back.features(x).tobytes() == net.features(x).tobytes()  # the layers up to pool5 are in memory
+
+    def test_two_threads_first_use_gets_the_same_arrays(self, saved):
+        net, path = saved
+        for _ in range(20):
+            fc6 = layers_by_name(read_checkpoint(path))["fc6"]
+            start = threading.Barrier(2)
+
+            def first_use():
+                start.wait()
+                return fc6.weights, fc6.bias
+
+            with ThreadPoolExecutor(2) as pool:
+                (w1, b1), (w2, b2) = pool.map(lambda _: first_use(), range(2))
+            assert w1 is w2 and b1 is b2
+            assert w1.tobytes() == layers_by_name(net)["fc6"].weights.tobytes()
 
 
 class TestFeatures:
