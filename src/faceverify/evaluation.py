@@ -155,13 +155,18 @@ def emit_curves(curve: RocCurve, accuracies: np.ndarray, roc_path, cmc_path) -> 
 def _roc_lines(curve: RocCurve):
     """The ROC table as UTF-8 text, _ROC_BLOCK rows at a time."""
     yield b"far,tar\r\n"
-    # TAR takes at most |pos| + 1 values, so each distinct one is formatted once
-    distinct, inverse = np.unique(curve.tar, return_inverse=True)
-    tar_text = np.array(["%.17g" % t for t in distinct.tolist()], dtype=object)
+    # TAR takes at most |pos| + 1 values, so each distinct one is formatted
+    # once; distinct by bits, as 0.0 and -0.0 print differently
+    bits = np.ascontiguousarray(curve.tar, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    tar_text = np.array(["%.17g" % t for t in distinct.view(np.float64).tolist()], dtype=object)
     for start in range(0, len(curve.far), _ROC_BLOCK):
         stop = start + _ROC_BLOCK
-        rows = zip(curve.far[start:stop].tolist(), tar_text[inverse[start:stop]].tolist())
-        yield "".join("%.17g,%s\r\n" % row for row in rows).encode("utf-8")
+        far = curve.far[start:stop].tolist()
+        cells = [None] * (2 * len(far))  # far, tar text, far, tar text, ...
+        cells[0::2] = far
+        cells[1::2] = tar_text[inverse[start:stop]].tolist()
+        yield (("%.17g,%s\r\n" * len(far)) % tuple(cells)).encode("utf-8")
 
 
 def evaluate_split(

@@ -20,12 +20,17 @@ similarity(y, x) at every step.  Set symmetrize_b=False for the literal
 rule.
 
 train_metric's margin decisions are exact: every pair step decides as
-the scalar hinge_step would, so the model is the same bit for bit.  The
-first epoch runs plain; a later one is screened when the one before had
-fewer violators than steps / n (n training rows).  train_metric caches
-a_k = x_k^T M x_k, R = X (M + B), b and tol for the current model, so a
-pair's distance a_i + a_j - 2 R_i x_j costs O(d), and skips a pair of a
-screened epoch only where its screened margin y (b - d) - 1 exceeds
+the scalar hinge_step would, so the model is the same bit for bit.  An
+epoch is screened while it has met fewer than steps / n violators (n
+training rows): the first epoch starts screened, a later one starts
+screened when the one before ended under that bound, and a screened
+epoch that reaches it finishes on the plain loop.  Each violator met
+while screened costs one n x d x d cache rebuild, so an epoch makes at
+most about steps / n + 1 of them, and a busy epoch costs at most about
+twice a plain one.  train_metric caches a_k = x_k^T M x_k,
+R = X (M + B), b and tol for the current model, so a pair's distance
+a_i + a_j - 2 R_i x_j costs O(d), and skips a pair of a screened epoch
+only where its screened margin y (b - d) - 1 exceeds
 
     tol = 4 gamma_{2d+8} (4 r^2 (|M|_F + |B|_F) + |b| + 1),
     gamma_k = k u / (1 - k u),  u = 2^-53,
@@ -174,7 +179,10 @@ def _same_subject_pairs(labels: np.ndarray) -> np.ndarray:
     """Flat indices i * n + j of the i < j same-label pairs, ascending
     (row-major order), built one subject size at a time."""
     n = len(labels)
-    _, codes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    try:
+        _, codes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    except TypeError as err:  # np.unique sorts them
+        raise ValueError(f"labels must be mutually orderable: {err}") from err
     order = np.argsort(codes, kind="stable")  # each subject's rows, ascending
     first = np.cumsum(sizes) - sizes  # where each subject's rows start in order
     flat = [np.empty(0, dtype=np.int64)]
@@ -196,8 +204,9 @@ class PairSampler:
     emission order are deterministic given the rng.
 
     Labels are grouped by value with np.unique, so they must be
-    mutually orderable (a str, int, float or bool array), and a NaN or
-    inf float label, which equals no label, is rejected.
+    mutually orderable (a str, int, float or bool array; other labels
+    fail quoting numpy's message), and a NaN or inf float label, which
+    equals no label, is rejected.
     """
 
     def __init__(self, labels: np.ndarray, rng: np.random.Generator, cfg: MetricTrainConfig):
@@ -305,7 +314,7 @@ def train_metric(
     rows = list(features)
     r2 = float(np.einsum("nd,nd->n", features, features).max())
     cache = None  # _screen_cache of the current model, built on demand
-    screened = False  # the first epoch runs plain
+    screened = True  # no history yet, so the first epoch starts screened
     violation_fractions: list[float] = []
     for _ in range(cfg.epochs):
         batch = sampler.epoch()
@@ -328,11 +337,14 @@ def train_metric(
                 if hinge_step(model, rows[pair_i[t]], rows[pair_j[t]], pair_y[t], cfg):
                     violations += 1
                     cache = None
-                    if screened:  # screen the rest against the new model
+                    if screened:  # screen the rest against the new model, while still quiet
                         k = t + 1
+                        screened = violations * len(rows) < steps
                         break
         violation_fractions.append(violations / steps)
-        # in a screened epoch each violator costs one n x d x d rebuild
+        # a violator met while screened costs one n x d x d rebuild, so an
+        # epoch is screened only while it has met fewer than steps / n of
+        # them; the next epoch starts as this one ended
         screened = violations * len(rows) < steps
     return model, violation_fractions
 

@@ -218,8 +218,24 @@ def write_score_matrix(path, scores: np.ndarray, gallery_ids: list[str], probe_i
     scores = np.asarray(scores)
     if scores.shape != (len(gallery_ids), len(probe_ids)):
         raise ValueError("score matrix shape does not match id lists")
-    body = ([gid, *("%.17g" % v for v in row.tolist())] for gid, row in zip(gallery_ids, scores))
-    write_file(path, _csv_lines(["gallery_id", *probe_ids], body))
+    header = ["gallery_id", *probe_ids]
+    if probe_ids:
+        write_file(path, _score_lines(header, gallery_ids, scores))
+    else:  # each id alone on its row, where csv quotes an empty one
+        write_file(path, _csv_lines(header, ([gid] for gid in gallery_ids)))
+
+
+def _score_lines(header, gallery_ids, scores):
+    """write_score_matrix's lines for at least one probe: csv writes the
+    header and each gallery id, and one format string writes a row's
+    scores, which never need quoting."""
+    lines = _csv_lines(header, ([gid, ""] for gid in gallery_ids))
+    yield next(lines)
+    scores_text = ",%.17g" * scores.shape[1] + "\r\n"
+    for id_line, row in zip(lines, scores):
+        # the id with an empty cell after it, since csv quotes an empty
+        # id alone on its row; drop that cell's ",\r\n"
+        yield id_line[:-3] + (scores_text % tuple(row.tolist())).encode("utf-8")
 
 
 def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:

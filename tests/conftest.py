@@ -1,3 +1,5 @@
+import csv
+import io
 import struct
 from pathlib import Path
 
@@ -135,3 +137,21 @@ class MaskPairSampler(PairSampler):
         self._rng = rng
         self._neg_queue = rng.permutation(len(self.neg_pairs))
         self._neg_cursor = 0
+
+
+def reference_score_matrix_bytes(scores, gallery_ids, probe_ids) -> bytes:
+    """write_score_matrix's text through csv.writer with every score a
+    %.17g cell, the reference its per-row format string must equal."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["gallery_id", *probe_ids])
+    for gid, row in zip(gallery_ids, np.asarray(scores).tolist()):
+        writer.writerow([gid, *("%.17g" % v for v in row)])
+    return buf.getvalue().encode("utf-8")
+
+
+def reference_roc_bytes(curve) -> bytes:
+    """emit_curves' ROC table formatted value by value, the reference
+    its per-block format string must equal."""
+    rows = zip(curve.far.tolist(), curve.tar.tolist())
+    return ("far,tar\r\n" + "".join("%.17g,%.17g\r\n" % row for row in rows)).encode("utf-8")

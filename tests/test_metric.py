@@ -30,9 +30,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # golden/train_metric.json: at d=32 about a fifth of the pair steps
 # violate the margin in every epoch; at d=320 (the paper's feature size)
 # a third violate in the first epoch and 1-2% in each later one.  Both
-# stay on the plain path.  At d=64 some epochs follow one with at most
-# two violators, so train_metric screens them, and epoch 9 of those
-# still holds four violators.
+# screen only the start of the first epoch, up to its steps / n-th
+# violator, and run the rest plain.  At d=64 some epochs follow one with
+# at most two violators, so train_metric screens them too, and epoch 9
+# of those still holds four violators.
 TRAIN_GOLDEN_SETS = {
     "d32": (dict(dim=32, num_subjects=300, samples_per_subject=3, within_cov=2.0, seed=11), 8),
     "d320": (dict(dim=320, num_subjects=30, samples_per_subject=5, within_cov=4.0, seed=11), 5),
@@ -307,6 +308,13 @@ class TestPairSampler:
         with pytest.raises(ValueError, match=rf"labels must be finite, got {bad} at row 2 \(2 in all\)"):
             train_metric(feats, labels, MetricTrainConfig(epochs=1))
 
+    def test_unorderable_labels_rejected(self):
+        labels = np.array(["a", None, "a", 1, 1], dtype=object)
+        with pytest.raises(
+            ValueError, match=r"^labels must be mutually orderable: '<' not supported between instances of "
+        ):
+            PairSampler(labels, make_rng(60), MetricTrainConfig())
+
     def test_pool_counts(self):
         labels = np.array([0, 0, 1, 1])
         cfg = MetricTrainConfig()
@@ -456,8 +464,9 @@ SCREENED_SETS = [
 
 
 class TestMarginScreen:
-    """train_metric screens an epoch after one with fewer than steps / n
-    violators; each screened decision must equal hinge_step's."""
+    """train_metric screens the first epoch, and each later one after an
+    epoch with fewer than steps / n violators, while it has met fewer
+    than steps / n; each screened decision must equal hinge_step's."""
 
     @pytest.mark.parametrize(
         "gen_kwargs, cfg_kwargs",
@@ -485,9 +494,44 @@ class TestMarginScreen:
 
         steps = len(PairSampler(labels, make_rng(0), cfg).pos_pairs) * 2
         violations = [round(f * steps) for f in want]
-        screened = [e for e in range(1, cfg.epochs) if violations[e - 1] * len(labels) < steps]
+        screened = [e for e in range(cfg.epochs) if e == 0 or violations[e - 1] * len(labels) < steps]
         assert any(violations[e] for e in screened)  # the cache was dropped mid-epoch
         assert len(calls) < steps * cfg.epochs  # the screen skipped pairs
+
+    def test_quiet_first_epoch_is_screened(self, monkeypatch):
+        # at d=320 almost no pair violates after the Gram-matrix start
+        feats, labels = generate_synthetic(
+            SyntheticEmbeddingModel(dim=320, num_subjects=40, samples_per_subject=5, within_cov=0.25)
+        )
+        cfg = MetricTrainConfig()
+        calls = []
+
+        def counted_step(*args):
+            calls.append(1)
+            return hinge_step(*args)
+
+        monkeypatch.setattr("faceverify.metric.hinge_step", counted_step)
+        train_metric(feats, labels, cfg)
+        steps = len(PairSampler(labels, make_rng(0), cfg).pos_pairs) * 2
+        assert len(calls) < steps  # all epochs together, the first included
+
+    def test_busy_epoch_drops_to_the_plain_loop(self, monkeypatch):
+        # about a fifth of every epoch's steps violate, so the first epoch
+        # is screened only up to its steps / n-th violator
+        gen_kwargs, epochs = TRAIN_GOLDEN_SETS["d32"]
+        feats, labels = generate_synthetic(SyntheticEmbeddingModel(**gen_kwargs))
+        cfg = MetricTrainConfig(gamma=20.0, gamma_b=2.0, epochs=epochs, seed=12)
+        builds = []
+
+        def counted_cache(*args):
+            builds.append(1)
+            return _screen_cache(*args)
+
+        monkeypatch.setattr("faceverify.metric._screen_cache", counted_cache)
+        _, fractions = train_metric(feats, labels, cfg)
+        steps = len(PairSampler(labels, make_rng(0), cfg).pos_pairs) * 2
+        assert min(fractions) * len(labels) >= 1  # every epoch is busy
+        assert 1 <= len(builds) <= steps // len(labels) + 2
 
     @pytest.mark.parametrize("symmetric_b", [True, False])
     def test_never_skips_a_violator_on_the_margin(self, symmetric_b):

@@ -6,12 +6,12 @@ repeatable and adds only seconds."""
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import MaskPairSampler, plain_train_metric
-from faceverify.evaluation import cmc, roc
+from conftest import MaskPairSampler, plain_train_metric, reference_roc_bytes, reference_score_matrix_bytes
+from faceverify.evaluation import _ROC_BLOCK, RocCurve, cmc, emit_curves, roc
 from faceverify.linalg import make_rng
 from faceverify.metric import JointBayesModel, MetricTrainConfig, PairSampler, train_metric
 from faceverify.micronet import (
@@ -210,12 +210,63 @@ def test_score_matrix_round_trips_exactly(tmp_path, case):
     assert (got_gallery, got_probe) == (gallery_ids, probe_ids)
 
 
+# ids csv must quote or pass through as they are, and values whose text
+# is easy to get wrong: -0.0, subnormals, +-inf, nan, and values whose
+# %.17g text differs from their %.16g
+awkward_ids = st.one_of(st.sampled_from(["", "a,b", 'q"x', " lead", "\u00fcmlaut", "x\ny", "\n", "a\r\nb"]), template_ids)
+awkward_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225e-308, np.inf, -np.inf, np.nan, 0.1, 1 / 3]),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def awkward_score_files(draw):
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    scores = draw(arrays(np.float64, shape, elements=awkward_floats))
+    gallery_ids, probe_ids = (draw(st.lists(awkward_ids, min_size=k, max_size=k)) for k in shape)
+    return scores, gallery_ids, probe_ids
+
+
+@CAPPED
+@given(awkward_score_files())
+@example((np.zeros((3, 0)), ["", "a,b", "x\ny"], []))  # no probes: each id alone on its row
+@example((np.array([[-0.0, 1 / 3]]), [""], ["", 'q"x']))
+def test_score_matrix_text_equals_the_csv_writer_form(tmp_path, case):
+    scores, gallery_ids, probe_ids = case
+    path = tmp_path / "scores.csv"
+    write_score_matrix(path, scores, gallery_ids, probe_ids)
+    assert path.read_bytes() == reference_score_matrix_bytes(scores, gallery_ids, probe_ids)
+
+
+@CAPPED
+@given(
+    st.sampled_from([0, 1, 5, _ROC_BLOCK - 1, _ROC_BLOCK, 2 * _ROC_BLOCK + 3]),
+    st.lists(st.tuples(awkward_floats, awkward_floats), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_roc_text_equals_the_value_by_value_form(tmp_path, n, awkward, seed):
+    # n random points, with the awkward ones written over random rows;
+    # TAR repeats a few values, as a real curve's does
+    rng = make_rng(seed)
+    far = rng.random(n) * 10.0 ** rng.integers(-320, 300, n)
+    tar = rng.integers(0, 7, n) / 6
+    if n:
+        rows = rng.integers(0, n, len(awkward))
+        far[rows], tar[rows[::-1]] = zip(*awkward)
+    curve = RocCurve(far, tar)
+    emit_curves(curve, np.array([1.0]), tmp_path / "roc.csv", tmp_path / "cmc.csv")
+    assert (tmp_path / "roc.csv").read_bytes() == reference_roc_bytes(curve)
+
+
 @st.composite
 def label_sets(draw):
     """Unit-norm features of 3-12 subjects with 1-6 samples each; at
-    least one subject has two samples, so a positive pair exists.  Most
-    of these sets screen a later epoch, and many meet a violator inside
-    a screened epoch, so the cache is dropped and rebuilt mid-epoch."""
+    least one subject has two samples, so a positive pair exists.  The
+    first epoch starts screened, and most of these sets screen a later
+    one too; many meet a violator inside a screened epoch, so the cache
+    is dropped and rebuilt mid-epoch, and some meet steps / n of them,
+    so the epoch finishes on the plain loop."""
     counts = draw(st.lists(st.integers(1, 6), min_size=3, max_size=12))
     assume(max(counts) >= 2)
     dim = draw(st.sampled_from([8, 16, 32]))
