@@ -143,7 +143,7 @@ def cmd_extract(args) -> int:
     else:
         media = [p.name for p in _image_list(root)]
     images = _load_images(root, media, args.list or root)
-    (h, w), (th, tw) = images.shape[1:3], net.spec.input_shape[:2]
+    (h, w), (th, tw) = images.shape[1:3], net.input_shape[:2]
     if h < th or w < tw:
         raise ValueError(f"{root / media[0]}: {h}x{w} image is smaller than the {th}x{tw} net input")
     oy, ox = (h - th) // 2, (w - tw) // 2  # center-crop larger inputs

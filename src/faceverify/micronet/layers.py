@@ -97,7 +97,8 @@ def _cached(value):
 class Layer:
     """Base class: parameter-free layers only override forward/backward.
 
-    `kind` names the layer in a checkpoint, and `fields` maps each of its
+    `kind` names the layer's class in a checkpoint, and `name` (which
+    `Network` sets) names this layer.  `fields` maps each of its
     checkpoint fields to its type, in checkpoint order.  The constructor
     takes exactly those fields (plus `dtype`, if it has parameters) and
     keeps each as an attribute of the same name.
@@ -108,6 +109,7 @@ class Layer:
     """
 
     kind = "layer"
+    name = ""
     fields: dict[str, type] = {}
     params: dict[str, str] = {}
     # Network clears this on its first layer, whose input gradient

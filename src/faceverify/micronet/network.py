@@ -1,5 +1,5 @@
-"""Network assembly: named layers and the spec derived from them, the
-stock face architecture, feature extraction.
+"""Network assembly: named layers with the input geometry, the stock
+face architecture, feature extraction.
 
 The stock net takes 100x100 gray (or RGB) crops through ten 3x3
 convolutions in five blocks (32/64, 64/128, 96/192, 128/256, 160/320
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from faceverify.micronet.layers import (
     SoftmaxXent,
 )
 
-__all__ = ["LAYER_KINDS", "LayerSpec", "NetworkSpec", "Network", "build_face_net", "extract_features"]
+__all__ = ["LAYER_KINDS", "Network", "build_face_net", "extract_features"]
 
 # (channels per conv, normalization after conv index) for the stock net;
 # block boundaries get a 2x2 max pool.
@@ -51,40 +50,28 @@ LAYER_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer's kind and name; a checkpoint reads the values of the
-    fields its class declares from the layer itself."""
-
-    kind: str
-    name: str
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Ordered layer list plus input geometry."""
-
-    layers: tuple
-    input_shape: tuple  # (h, w, c)
-    num_classes: int
-
-
 class Network:
-    """Named layers in order, with the spec derived from them.  The
+    """Named layers in order, with the input shape (h, w, c) and the
+    class count.  Each layer keeps its name as `layer.name`, so a
+    checkpoint takes every fact about a layer from the layer.  The
     compute dtype is the parameters' (float64 when there are none), and
     the global-average-pool layer, layers[feature_index], gives the
     feature descriptor."""
 
     def __init__(self, named_layers, input_shape: tuple, num_classes: int):
-        named_layers = list(named_layers)  # read twice: layers, then spec
         if len(input_shape) != 3:
             raise ValueError(f"input shape {tuple(input_shape)} is not (h, w, c)")
         if any(size < 1 for size in input_shape):
             raise ValueError(f"input shape {tuple(input_shape)} has a size below 1")
-        _check_channels(named_layers, input_shape[2], num_classes)
-        self.layers: list[Layer] = [layer for _, layer in named_layers]
-        specs = (LayerSpec(layer.kind, name) for name, layer in named_layers)
-        self.spec = NetworkSpec(tuple(specs), tuple(input_shape), num_classes)
+        self.layers: list[Layer] = []
+        for name, layer in named_layers:
+            if any(ch.isspace() for ch in name):
+                raise ValueError(f"layer name {name!r} holds whitespace, which a checkpoint cannot hold")
+            layer.name = name
+            self.layers.append(layer)
+        _check_channels(self.layers, input_shape[2], num_classes)
+        self.input_shape = tuple(input_shape)
+        self.num_classes = num_classes
         self.dtype = next((np.dtype(layer.dtype).type for layer in self.layers if layer.params), np.float64)
         self.input_mean = 0.0
         self.feature_index = next((i for i, layer in enumerate(self.layers) if isinstance(layer, GlobalAvgPool)), None)
@@ -102,8 +89,8 @@ class Network:
                 value[...] = 0.0
 
     def _check_batch(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1:] != self.spec.input_shape:
-            raise ValueError(f"expected batch of shape (n, {self.spec.input_shape}), got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != self.input_shape:
+            raise ValueError(f"expected batch of shape (n, {self.input_shape}), got {x.shape}")
 
     def _walk(self, x: np.ndarray, train: bool = False, rng=None, stop: int | None = None):
         """Check, cast and centre the input, then yield the activation of
@@ -162,22 +149,30 @@ class Network:
             for item in layer.param_items():
                 yield (layer, *item)
 
+    @property
+    def spec(self) -> Network:
+        """The network itself.  It exists only for perfbench/, which reads
+        `spec.layers`, `spec.input_shape` and `spec.num_classes`, and goes
+        with the next change to the benchmark."""
+        return self
 
-def _check_channels(named_layers, channels: int, num_classes: int) -> None:
+
+def _check_channels(layers, channels: int, num_classes: int) -> None:
     """Each layer that declares in_channels must get that many from the
     input or the layer before, and the last fully connected layer must
     give num_classes; a layer that declares out_channels changes the
     count, every other layer keeps it."""
-    classes = None
-    for name, layer in named_layers:
+    last_dense = None
+    for layer in layers:
         need = getattr(layer, "in_channels", channels)
         if need != channels:
-            raise ValueError(f"layer {name or layer.kind} takes {need} channels, but {channels} reach it")
+            raise ValueError(f"layer {layer.name or layer.kind} takes {need} channels, but {channels} reach it")
         channels = getattr(layer, "out_channels", channels)
         if isinstance(layer, Dense):
-            classes = (name or layer.kind, channels)
-    if classes is not None and classes[1] != num_classes:
-        raise ValueError(f"layer {classes[0]} gives {classes[1]} classes, not num_classes={num_classes}")
+            last_dense = layer
+    if last_dense is not None and last_dense.out_channels != num_classes:
+        name = last_dense.name or last_dense.kind
+        raise ValueError(f"layer {name} gives {last_dense.out_channels} classes, not num_classes={num_classes}")
 
 
 def _walkers() -> int:

@@ -126,14 +126,14 @@ def _expect_end(fh, path, what: str) -> None:
 
 def _spec_to_text(net: Network) -> str:
     lines = [
-        "input=" + ",".join(str(v) for v in net.spec.input_shape),
-        f"num_classes={net.spec.num_classes}",
+        "input=" + ",".join(str(v) for v in net.input_shape),
+        f"num_classes={net.num_classes}",
         f"input_mean={net.input_mean!r}",
     ]
-    for spec, layer in zip(net.spec.layers, net.layers):
-        parts = [f"layer={spec.kind}"]
-        if spec.name:
-            parts.append(f"name={spec.name}")
+    for layer in net.layers:
+        parts = [f"layer={layer.kind}"]
+        if layer.name:
+            parts.append(f"name={layer.name}")
         parts += [f"{f}={getattr(layer, f)!r}" for f in layer.fields]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -157,29 +157,27 @@ def _layer_from_text(line: str) -> tuple[str, Layer]:
 
 
 def _net_from_text(text: str) -> Network:
-    input_shape = None
-    num_classes = None
-    input_mean = 0.0
+    header: dict[str, str] = {}
     layers: list[tuple[str, Layer]] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
-        if line.startswith("input="):
-            input_shape = tuple(int(v) for v in line.split("=", 1)[1].split(","))
-        elif line.startswith("num_classes="):
-            num_classes = int(line.split("=", 1)[1])
-        elif line.startswith("input_mean="):
-            input_mean = float(line.split("=", 1)[1])
-            if not np.isfinite(input_mean):
-                raise ValueError(f"input_mean {input_mean} is NaN or inf")
-        elif line.startswith("layer="):
+        key, eq, value = line.partition("=")
+        if eq and key == "layer":
             layers.append(_layer_from_text(line))
+        elif eq and key in ("input", "num_classes", "input_mean"):
+            if key in header:
+                raise ValueError(f"repeated {key}= line: {line!r}")
+            header[key] = value
         else:
             raise ValueError(f"unrecognized checkpoint spec line: {line!r}")
-    if input_shape is None or num_classes is None or not layers:
+    if "input" not in header or "num_classes" not in header or not layers:
         raise ValueError("incomplete checkpoint spec text")
-    net = Network(layers, input_shape, num_classes)
+    input_mean = float(header.get("input_mean", 0.0))
+    if not np.isfinite(input_mean):
+        raise ValueError(f"input_mean {input_mean} is NaN or inf")
+    net = Network(layers, tuple(int(v) for v in header["input"].split(",")), int(header["num_classes"]))
     net.input_mean = input_mean
     return net
 
@@ -217,18 +215,18 @@ def read_checkpoint(path) -> Network:
         # a layer too large for the file fails here, before any allocation
         sizes = [math.prod(shape) for layer in net.layers for shape in layer.param_shapes()]
         _check_left(fh, 8 * sum(sizes), path, "parameter data")
-        for index, (spec, layer) in enumerate(zip(net.spec.layers, net.layers)):
+        for index, layer in enumerate(net.layers):
             if index <= net.feature_index:
                 for name, value, _, _ in layer.param_items():
                     _read_f8_into(fh, value, path, "parameter data")
-                    _check_finite(value, path, spec.name, name)
+                    _check_finite(value, path, layer.name, name)
             elif layer.params:
-                layer.load_params_with(_read_past(fh, path, spec.name, layer))
+                layer.load_params_with(_read_past(fh, path, layer))
         _expect_end(fh, path, "parameters")
     return net
 
 
-def _read_past(fh, path, layer_name: str, layer: Layer):
+def _read_past(fh, path, layer: Layer):
     """Check a layer's parameter bytes at fh's position in pieces, keep
     none of them, and return the loader that reads them from path again
     (checking the file's size, every value and the crc32 of the bytes)."""
@@ -241,13 +239,13 @@ def _read_past(fh, path, layer_name: str, layer: Layer):
             view = piece[: min(left, _CHUNK)]
             if fh.readinto(view) != len(view):
                 raise ValueError(f"{path}: truncated parameter data")
-            _check_finite(np.frombuffer(view, dtype="<f8"), path, layer_name, name)
+            _check_finite(np.frombuffer(view, dtype="<f8"), path, layer.name, name)
             crc = zlib.crc32(view, crc)
             left -= len(view)
     where = os.path.abspath(path)  # the same file whatever the working directory is by then
 
     def load() -> list[np.ndarray]:
-        changed = f"{path}: changed since it was read, so {layer_name} cannot load its parameters"
+        changed = f"{path}: changed since it was read, so {layer.name} cannot load its parameters"
         values = [np.empty(shape) for shape in shapes]
         got = 0
         with open(where, "rb") as fh:
@@ -256,7 +254,7 @@ def _read_past(fh, path, layer_name: str, layer: Layer):
             fh.seek(offset)
             for name, value in zip(names, values):
                 _read_f8_into(fh, value, path, "parameter data")
-                _check_finite(value, path, layer_name, name)
+                _check_finite(value, path, layer.name, name)
                 got = zlib.crc32(np.ascontiguousarray(value, dtype="<f8"), got)
         if got != crc:
             raise ValueError(changed)

@@ -52,6 +52,12 @@ def replace_spec_text(path, old, new):
     Path(path).write_bytes(data[:8] + struct.pack("<I", len(bad)) + bad + data[12 + spec_len :])
 
 
+def net_outline(net):
+    """Each layer's kind and name, the input shape and the class count:
+    every fact about a network's structure besides its fields."""
+    return [(layer.kind, layer.name) for layer in net.layers], net.input_shape, net.num_classes
+
+
 def central_diff_gradient(f, x, eps=1e-5):
     """Central finite-difference gradient of scalar f w.r.t. array x,
     computed entry by entry (x is perturbed in place and restored)."""

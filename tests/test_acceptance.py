@@ -86,16 +86,16 @@ def test_criterion_1_stock_architecture():
     t0 = time.perf_counter()
     net = build_face_net(num_classes=10548, in_channels=1)
     # per-sample shapes from one eval-mode pass of a zero batch
-    acts = net.forward(np.zeros((1, *net.spec.input_shape)))
-    shapes = {spec.name: a.shape[1:] for spec, a in zip(net.spec.layers, acts)}
+    acts = net.forward(np.zeros((1, *net.input_shape)))
+    shapes = {layer.name: a.shape[1:] for layer, a in zip(net.layers, acts)}
     for name, expected in STOCK_SHAPES:
         assert shapes[name] == expected, f"{name}: {shapes[name]} != {expected}"
 
     counts = {}
-    for spec, layer in zip(net.spec.layers, net.layers):
+    for layer in net.layers:
         for name, value, _, _ in layer.param_items():
             if name == "weights":
-                counts[spec.name] = value.size
+                counts[layer.name] = value.size
     assert counts["conv52"] == 460_800  # worked example: 460800 -> 450K
     for name, k_expected in STOCK_KCOUNTS.items():
         k = counts[name] / 1024

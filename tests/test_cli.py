@@ -583,7 +583,7 @@ class TestTrainExtractCommands:
         assert capsys.readouterr().err == f"train-cnn: error: {message}\n"
         assert not out.exists()
         assert main(argv + ["--random-crop", "--crop-size", "8"]) == 0
-        assert read_checkpoint(out).spec.input_shape == (8, 8, 1)
+        assert read_checkpoint(out).input_shape == (8, 8, 1)
 
     @pytest.mark.parametrize("flag", ["--width-divisor", "--crop-size"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import net_outline
 from faceverify.linalg import make_rng
 from faceverify.micronet import build_face_net, extract_features, network
 from faceverify.micronet.layers import Conv3x3, Dense, GlobalAvgPool, PReLU, SoftmaxXent
@@ -55,18 +56,18 @@ STOCK_WEIGHTS = {
 def output_shapes(net):
     """Per-sample output shape of each named layer, from one eval-mode
     forward pass of a zero batch."""
-    acts = net.forward(np.zeros((1, *net.spec.input_shape)))
-    return {spec.name: a.shape[1:] for spec, a in zip(net.spec.layers, acts)}
+    acts = net.forward(np.zeros((1, *net.input_shape)))
+    return {layer.name: a.shape[1:] for layer, a in zip(net.layers, acts)}
 
 
 def param_sizes(net, counted=("weights",)):
     """Per-layer sum of the sizes of the counted parameters, for layers
     that have any; PReLU slopes are trainable but never counted."""
     sizes = {}
-    for spec, layer in zip(net.spec.layers, net.layers):
+    for layer in net.layers:
         size = sum(value.size for name, value, _, _ in layer.param_items() if name in counted)
         if size:
-            sizes[spec.name] = size
+            sizes[layer.name] = size
     return sizes
 
 
@@ -96,7 +97,7 @@ class TestStockArchitecture:
     def test_rgb_variant(self):
         net = build_face_net(in_channels=3)
         assert param_sizes(net)["conv11"] == 3 * 3 * 3 * 32
-        assert net.spec.input_shape == (100, 100, 3)
+        assert net.input_shape == (100, 100, 3)
 
     def test_scaled_variant_shapes(self):
         net = build_face_net(num_classes=10, input_size=32, width_divisor=4)
@@ -150,16 +151,24 @@ def test_layer_class_is_the_one_source_of_its_fields(kind):
     assert {f: getattr(layer, f) for f in cls.fields} == args
 
 
+# A checkpoint line splits its fields at spaces and the spec text splits
+# at every separator that str.splitlines knows, all of which isspace.
+@pytest.mark.parametrize("name", ["my conv", "conv\n11", "conv\r", "\tconv", "conv\x1c", "conv\u2028"])
+def test_rejects_a_layer_name_a_checkpoint_cannot_hold(name):
+    layers = [(name, Conv3x3(1, 2)), ("gap", GlobalAvgPool()), ("fc", Dense(2, 3)), ("cost", SoftmaxXent())]
+    with pytest.raises(ValueError, match=re.escape(f"layer name {name!r} holds whitespace")):
+        Network(layers, (4, 4, 1), 3)
+
+
 def test_network_from_a_generator_keeps_every_layer(tmp_path):
     pairs = [("conv", Conv3x3(1, 2)), ("gap", GlobalAvgPool()), ("fc", Dense(2, 3)), ("cost", SoftmaxXent())]
     net = Network(((name, layer) for name, layer in pairs), (4, 4, 1), 3)
-    assert len(net.spec.layers) == len(net.layers) == len(pairs)
-    assert [s.name for s in net.spec.layers] == [name for name, _ in pairs]
+    assert [(layer.name, layer) for layer in net.layers] == pairs
     net.initialize(make_rng(12), 0.3)
     path = tmp_path / "net.jvnt"
     write_checkpoint(path, net)
     back = read_checkpoint(path)
-    assert back.spec == net.spec
+    assert net_outline(back) == net_outline(net)
     for (_, n1, v1, _, _), (_, n2, v2, _, _) in zip(net.param_items(), back.param_items(), strict=True):
         assert n1 == n2
         npt.assert_array_equal(v1, v2)
@@ -233,7 +242,7 @@ class TestStreamingFeatures:
             # every GEMM of these shapes is large enough that BLAS sums
             # each row alike in a batch and alone, so streaming changes
             # no float64 feature of the whole-batch walk
-            pooled = net.forward(x[:3])[[s.kind for s in net.spec.layers].index("avgpool_global")]
+            pooled = net.forward(x[:3])[[layer.kind for layer in net.layers].index("avgpool_global")]
             assert net.features(x[:3]).tobytes() == pooled.tobytes()
 
     def test_pool_runs_one_walk_per_image_on_at_most_that_many_workers(self, monkeypatch):

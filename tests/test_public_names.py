@@ -110,5 +110,13 @@ def test_scan_sees_a_use_and_skips_a_definition(tmp_path):
     assert ("X", "X") not in uses and ("g", "") not in uses
 
 
+def test_only_perfbench_reads_network_spec():
+    """`Network.spec` is the network itself, kept for perfbench/ alone;
+    the program and its tests read the network's own attributes."""
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    readers = [str(path.relative_to(ROOT)) for path in files if any(name == "spec" for name, _ in _uses(path))]
+    assert not readers, f"these read an attribute named spec: {readers}"
+
+
 def test_walk_finds_the_modules():
     assert {"faceverify.evaluation", "faceverify.templates", "faceverify.micronet.layers"} <= set(MODULES)
