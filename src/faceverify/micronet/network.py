@@ -162,17 +162,16 @@ def _check_channels(layers, channels: int, num_classes: int) -> None:
     input or the layer before, and the last fully connected layer must
     give num_classes; a layer that declares out_channels changes the
     count, every other layer keeps it."""
-    last_dense = None
+    classes = None
     for layer in layers:
         need = getattr(layer, "in_channels", channels)
         if need != channels:
             raise ValueError(f"layer {layer.name or layer.kind} takes {need} channels, but {channels} reach it")
         channels = getattr(layer, "out_channels", channels)
         if isinstance(layer, Dense):
-            last_dense = layer
-    if last_dense is not None and last_dense.out_channels != num_classes:
-        name = last_dense.name or last_dense.kind
-        raise ValueError(f"layer {name} gives {last_dense.out_channels} classes, not num_classes={num_classes}")
+            classes = (layer.name or layer.kind, channels)
+    if classes is not None and classes[1] != num_classes:
+        raise ValueError(f"layer {classes[0]} gives {classes[1]} classes, not num_classes={num_classes}")
 
 
 def _walkers() -> int:

@@ -145,8 +145,8 @@ def test_metric_model_round_trips_exactly(tmp_path, model):
     assert np.float64(got.b).tobytes() == np.float64(model.b).tobytes()
 
 
-# Any text without whitespace (which Network rejects), "=" and non-ASCII
-# letters drawn often: empty, "=a", "é" and "\x00" are all layer names.
+# Layer names: any text without whitespace, which Network rejects, with
+# "=" and a non-ASCII letter drawn often; the empty name is drawn too.
 layer_names = st.text(
     st.sampled_from("=é") | st.characters(exclude_categories=["Cs"]).filter(lambda c: not c.isspace()), max_size=4
 )
