@@ -1,14 +1,16 @@
 """Network layers with explicit forward/backward passes.
 
-All activations are NHWC.  A train-mode forward caches whatever the
-backward pass needs on the instance, so training is a strictly
-sequential forward -> backward -> update cycle, and a train-mode pass
-must not share a layer instance with any other pass.  An eval-mode
-forward caches nothing and only sets those caches to None, so a
-backward after it raises instead of returning the gradient of an older
-batch, and concurrent eval-mode forwards may share one layer.  The one
-exception is SoftmaxXent, which keeps its probabilities in both modes
-for loss() to read; Network.features stops before it.
+All activations are NHWC.  A train-mode forward leaves one cache on
+its layer, and that layer's backward takes it, so a finished backward
+holds none, and any backward without a fresh train-mode forward raises
+instead of returning an older batch's gradient.  So training is a
+strictly sequential forward -> backward -> update cycle, and a
+train-mode pass must not share a layer instance with any other pass.
+An eval-mode forward leaves no cache, so concurrent eval-mode forwards
+may share one layer.  Dropout keeps its mask until its next forward
+(its backward is the identity without one), and SoftmaxXent its
+probabilities in both modes, for loss() to read; Network.features
+stops before it.
 
 A layer makes its parameters on their first use, under one lock, so
 two forwards that first use a layer at once both see the same arrays.
@@ -87,13 +89,6 @@ def _nine_taps(padded, out, groups, taps, start) -> None:
             acc += window.reshape(-1, padded.shape[3]) @ mat
 
 
-def _cached(value):
-    """A train-mode forward's cache, for backward to read."""
-    if value is None:
-        raise RuntimeError("backward requires a train-mode forward pass")
-    return value
-
-
 class Layer:
     """Base class: parameter-free layers only override forward/backward.
 
@@ -115,12 +110,20 @@ class Layer:
     # Network clears this on its first layer, whose input gradient
     # nothing reads; backward may then skip it and return None.
     _input_grad = True
+    _cache = None  # what a train-mode forward left for backward: one value or a tuple
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _take_cache(self):
+        """Remove and return the cache of the last train-mode forward."""
+        cache = vars(self).pop("_cache", None)
+        if cache is None:
+            raise RuntimeError("backward requires a train-mode forward pass")
+        return cache
 
     def param_shapes(self) -> list[tuple[int, ...]]:
         """The shape of each parameter, in `params` order."""
@@ -185,7 +188,6 @@ class Conv3x3(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.dtype = dtype
-        self._xp = None
 
     def param_shapes(self):
         return [(3, 3, self.in_channels, self.out_channels), (self.out_channels,)]
@@ -210,11 +212,11 @@ class Conv3x3(Layer):
             groups = [(i, min(i + images, n), 0, h) for i in range(0, n, images)]
         taps = [((di, dj), self.weights[di, dj]) for di in range(3) for dj in range(3)]
         _nine_taps(xp, out, groups, taps, self.bias)
-        self._xp = xp if train else None
+        self._cache = xp if train else None
         return out
 
     def backward(self, grad_out):
-        xp = _cached(self._xp)
+        xp = self._take_cache()
         n, h, w = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2
         c_in, c_out = self.in_channels, self.out_channels
         g2 = np.ascontiguousarray(grad_out).reshape(n * h * w, c_out)
@@ -265,8 +267,6 @@ class PReLU(Layer):
     def __init__(self, in_channels: int, dtype=np.float64):
         self.in_channels = in_channels
         self.dtype = dtype
-        self._x = None
-        self._neg = None
 
     def param_shapes(self):
         return [(self.in_channels,)]
@@ -282,11 +282,11 @@ class PReLU(Layer):
         out = np.maximum(x, 0)
         neg_part *= self.slope
         out += neg_part
-        self._x, self._neg = (x, x < 0) if train else (None, None)
+        self._cache = (x, x < 0) if train else None
         return out
 
     def backward(self, grad_out):
-        x, neg = _cached(self._x), self._neg
+        x, neg = self._take_cache()
         m = neg.astype(grad_out.dtype)  # 1 where x < 0, else 0
         gx = grad_out * x
         gx *= m
@@ -328,9 +328,6 @@ class CrossChannelNorm(Layer):
         self.alpha = alpha
         self.beta = beta
         self.k = k
-        self._x = None
-        self._denom = None
-        self._scale = None
 
     def _window_sum(self, v: np.ndarray) -> np.ndarray:
         """Sliding sum over the channel axis, window clipped at the edges:
@@ -364,11 +361,11 @@ class CrossChannelNorm(Layer):
         # eval keeps nothing for backward, so it overwrites denom in place
         scale = np.power(denom, -self.beta, out=None if train else denom)
         out = np.multiply(x, scale, out=None if train else scale)
-        self._x, self._denom, self._scale = (x, denom, scale) if train else (None, None, None)
+        self._cache = (x, denom, scale) if train else None
         return out
 
     def backward(self, grad_out):
-        x, denom, scale = _cached(self._x), self._denom, self._scale
+        x, denom, scale = self._take_cache()
         # d(out_c)/d(x_i) couples channels whose windows overlap; the
         # correction reuses the same symmetric window sum, and
         # denom^(-beta-1) is recovered as scale/denom to avoid a second pow.
@@ -402,10 +399,6 @@ class MaxPool2x2(Layer):
 
     kind = "maxpool2x2s2"
 
-    def __init__(self):
-        self._idx = None
-        self._x_shape = None
-
     def forward(self, x, train=False, rng=None):
         n, h, w, c = x.shape
         ho, wo = (h + 1) // 2, (w + 1) // 2
@@ -416,17 +409,14 @@ class MaxPool2x2(Layer):
             xp = x
         win = xp.reshape(n, ho, 2, wo, 2, c)
         out = win.max(axis=(2, 4))
-        if train:
-            self._idx, self._x_shape = _first_max_cell(win, out), x.shape
-        else:
-            self._idx = self._x_shape = None
+        self._cache = (_first_max_cell(win, out), x.shape) if train else None
         return out
 
     def backward(self, grad_out):
-        n, h, w, c = _cached(self._x_shape)
+        idx, (n, h, w, c) = self._take_cache()
         ho, wo = (h + 1) // 2, (w + 1) // 2
         dwin = np.zeros((n, ho, wo, 4, c), dtype=grad_out.dtype)
-        np.put_along_axis(dwin, self._idx[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
+        np.put_along_axis(dwin, idx[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
         dxp = dwin.reshape(n, ho, wo, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * ho, 2 * wo, c)
         return dxp[:, :h, :w, :]
 
@@ -436,15 +426,12 @@ class GlobalAvgPool(Layer):
 
     kind = "avgpool_global"
 
-    def __init__(self):
-        self._x_shape = None
-
     def forward(self, x, train=False, rng=None):
-        self._x_shape = x.shape if train else None
+        self._cache = x.shape if train else None
         return x.mean(axis=(1, 2))
 
     def backward(self, grad_out):
-        n, h, w, c = _cached(self._x_shape)
+        n, h, w, c = self._take_cache()
         return np.broadcast_to(grad_out[:, None, None, :] / (h * w), (n, h, w, c)).copy()
 
 
@@ -488,7 +475,6 @@ class Dense(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.dtype = dtype
-        self._x = None
 
     def param_shapes(self):
         return [(self.in_channels, self.out_channels), (self.out_channels,)]
@@ -496,11 +482,11 @@ class Dense(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.in_channels:
             raise ValueError(f"dense expects (n, {self.in_channels}), got {x.shape}")
-        self._x = x if train else None
+        self._cache = x if train else None
         return x @ self.weights + self.bias
 
     def backward(self, grad_out):
-        self.grad_weights = _cached(self._x).T @ grad_out
+        self.grad_weights = self._take_cache().T @ grad_out
         self.grad_bias = grad_out.sum(axis=0)
         return grad_out @ self.weights.T
 

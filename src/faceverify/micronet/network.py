@@ -112,8 +112,9 @@ class Network:
 
     def backward(self, labels: np.ndarray) -> None:
         """Fill every layer's parameter gradients after a train forward.
-        Every layer's backward runs; the first layer's returns no input
-        gradient."""
+        Every layer's backward runs and takes the cache that forward
+        left, so none stays held, and a second backward raises; the first
+        layer's returns no input gradient."""
         grad = self._cost_layer().backward_from_labels(labels)
         for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad)

@@ -114,9 +114,9 @@ def _read_f8_into(fh, value: np.ndarray, path, what: str) -> None:
         value.byteswap(inplace=True)
 
 
-def _check_finite(value: np.ndarray, path, layer: str, param: str) -> None:
+def _check_finite(value: np.ndarray, path, layer: Layer, param: str) -> None:
     if not np.isfinite(value).all():
-        raise ValueError(f"{path}: {layer} {param} holds NaN or inf")
+        raise ValueError(f"{path}: {layer.name or layer.kind} {param} holds NaN or inf")
 
 
 def _expect_end(fh, path, what: str) -> None:
@@ -219,7 +219,7 @@ def read_checkpoint(path) -> Network:
             if index <= net.feature_index:
                 for name, value, _, _ in layer.param_items():
                     _read_f8_into(fh, value, path, "parameter data")
-                    _check_finite(value, path, layer.name, name)
+                    _check_finite(value, path, layer, name)
             elif layer.params:
                 layer.load_params_with(_read_past(fh, path, layer))
         _expect_end(fh, path, "parameters")
@@ -239,13 +239,13 @@ def _read_past(fh, path, layer: Layer):
             view = piece[: min(left, _CHUNK)]
             if fh.readinto(view) != len(view):
                 raise ValueError(f"{path}: truncated parameter data")
-            _check_finite(np.frombuffer(view, dtype="<f8"), path, layer.name, name)
+            _check_finite(np.frombuffer(view, dtype="<f8"), path, layer, name)
             crc = zlib.crc32(view, crc)
             left -= len(view)
     where = os.path.abspath(path)  # the same file whatever the working directory is by then
 
     def load() -> list[np.ndarray]:
-        changed = f"{path}: changed since it was read, so {layer.name} cannot load its parameters"
+        changed = f"{path}: changed since it was read, so {layer.name or layer.kind} cannot load its parameters"
         values = [np.empty(shape) for shape in shapes]
         got = 0
         with open(where, "rb") as fh:
@@ -254,7 +254,7 @@ def _read_past(fh, path, layer: Layer):
             fh.seek(offset)
             for name, value in zip(names, values):
                 _read_f8_into(fh, value, path, "parameter data")
-                _check_finite(value, path, layer.name, name)
+                _check_finite(value, path, layer, name)
                 got = zlib.crc32(np.ascontiguousarray(value, dtype="<f8"), got)
         if got != crc:
             raise ValueError(changed)

@@ -19,6 +19,7 @@ from faceverify.micronet.layers import (
     SoftmaxXent,
     softmax,
 )
+from faceverify.micronet.network import LAYER_KINDS
 
 TOL = 1e-4  # max relative error against central differences
 
@@ -521,6 +522,8 @@ def _cached_layers():
 
 @pytest.mark.parametrize("name", sorted(_cached_layers()))
 def test_backward_after_an_eval_forward_raises(name):
+    # every kind but these two, whose state is not a backward's cache
+    assert {layer.kind for layer, _ in _cached_layers().values()} == set(LAYER_KINDS) - {"dropout", "softmax_xent"}
     layer, x = _cached_layers()[name]
     grad = np.ones(layer.forward(x).shape)
     with pytest.raises(RuntimeError, match="train-mode forward"):
@@ -531,3 +534,5 @@ def test_backward_after_an_eval_forward_raises(name):
         layer.backward(grad)
     layer.forward(x, train=True)
     assert layer.backward(grad).shape == x.shape
+    with pytest.raises(RuntimeError, match="train-mode forward"):
+        layer.backward(grad)  # the backward above took the cache

@@ -164,6 +164,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"model.jvnt: {layer} {param} holds NaN or inf"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("where, message", [
+        ("read", "conv3x3 weights holds NaN or inf"),
+        ("read-past", "fully_connected bias holds NaN or inf"),  # fc6's bytes are checked, not kept
+        ("first-use", "fully_connected bias holds NaN or inf"),
+        ("changed", "changed since it was read, so fully_connected cannot load its parameters"),
+    ], ids=["read", "read-past", "first-use", "changed"])
+    def test_error_about_an_unnamed_layer_names_its_kind(self, tmp_path, where, message):
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        for layer in net.layers:
+            layer.name = ""
+        if where == "read":
+            net.layers[0].weights.flat[3] = np.nan
+        elif where == "read-past":
+            net.layers[-2].bias.flat[1] = np.nan
+        path = tmp_path / "model.jvnt"
+        write_checkpoint(path, net)
+        fc6 = None
+        if where in ("first-use", "changed"):  # the same inode and size, after the read
+            fc6 = read_checkpoint(path).layers[-2]
+            data = bytearray(path.read_bytes())
+            if where == "first-use":
+                data[-8:] = np.float64(np.nan).tobytes()
+            else:
+                data[-60] ^= 1
+            with open(path, "r+b") as fh:
+                fh.write(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            fc6.weights if fc6 is not None else read_checkpoint(path)
+
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "junk.jvnt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

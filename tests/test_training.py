@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -106,6 +108,19 @@ class TestTrainLoop:
             cfg = TrainConfig(batch_size=16, max_iters=5, seed=11, init_std=0.1)
             losses.append(train(net, images, labels, cfg).losses)
         npt.assert_array_equal(losses[0], losses[1])
+
+    def test_returns_holding_no_training_cache(self):
+        images, labels = make_blob_images(n=32, size=16, num_classes=4, seed=14)
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8, dtype=np.float32)
+        cfg = TrainConfig(batch_size=32, max_iters=1, seed=15, init_std=0.1)
+        tracemalloc.start()
+        try:
+            train(net, images, labels, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        params = sum(value.nbytes + grad.nbytes for _, _, value, grad, _ in net.param_items())
+        assert held - params < 0.25e6
 
     def test_divergence_aborts(self):
         images, labels = make_blob_images(n=32, size=16, num_classes=4, seed=12)
