@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from faceverify.storage import open_text
+from faceverify.storage import naming, open_text
 
 __all__ = [
     "LandmarkSet",
@@ -196,10 +196,8 @@ def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
             parts = line.split(",")
             if len(parts) != 1 + 2 * NUM_LANDMARKS:
                 raise ValueError(f"{path}:{line_no}: expected media path plus {2 * NUM_LANDMARKS} numbers")
-            try:
+            with naming(f"{path}:{line_no}"):
                 coords = np.array([float(v) for v in parts[1:]], dtype=np.float64).reshape(NUM_LANDMARKS, 2)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             if not np.isfinite(coords).all():
                 raise ValueError(f"{path}:{line_no}: a coordinate is NaN or inf")
             records.append((parts[0], LandmarkSet(coords)))

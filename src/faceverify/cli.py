@@ -158,20 +158,16 @@ def _read_split_manifest(path) -> list[templates.ManifestRow]:
     """A template manifest whose gallery and probe share no media within
     a split (check_split_disjoint); a breach fails naming the file."""
     rows = templates.read_manifest(path)
-    try:
+    with storage.naming(path):
         templates.check_split_disjoint(rows)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     return rows
 
 
 def cmd_pool(args) -> int:
     feats, media_ids = storage.read_features(args.features)
     rows = _read_split_manifest(args.manifest)
-    try:
+    with storage.naming(f"{args.manifest} with {args.features}"):
         ids, _, pooled = templates.build_templates(rows, feats, media_ids, role=args.role, split=args.split)
-    except ValueError as exc:
-        raise ValueError(f"{args.manifest} with {args.features}: {exc}") from exc
     storage.write_features(args.out, pooled, ids)
     print(f"pool: {len(ids)} templates -> {args.out}")
     return 0
@@ -209,11 +205,9 @@ def cmd_score(args) -> int:
         print("score: --model required for jointbayes", file=sys.stderr)
         return 2
     model = storage.read_metric_model(args.model) if args.scorer == "jointbayes" else None
-    try:
+    files = (args.gallery, args.probe, args.model) if args.scorer == "jointbayes" else (args.gallery, args.probe)
+    with storage.naming(", ".join(files)):
         scores = templates.score_templates(gallery, probe, args.scorer, model)
-    except ValueError as exc:
-        files = (args.gallery, args.probe, args.model) if args.scorer == "jointbayes" else (args.gallery, args.probe)
-        raise ValueError(f"{', '.join(files)}: {exc}") from exc
     templates.write_score_matrix(args.out, scores, gallery_ids, probe_ids)
     print(f"score: {scores.shape[0]}x{scores.shape[1]} matrix -> {args.out}")
     return 0
@@ -235,11 +229,9 @@ def _at_least_one(text: str) -> int:
 def _parse_list(flag: str, text: str, kind, check) -> tuple:
     """A comma-separated flag value, read and range-checked; a bad item
     fails naming the flag."""
-    try:
+    with storage.naming(flag):  # the message quotes the bad item
         values = ev.parse_list(text, kind)
         check(values)
-    except ValueError as exc:  # the message quotes the bad item
-        raise ValueError(f"{flag}: {exc}") from None
     return values
 
 
@@ -248,10 +240,8 @@ def cmd_evaluate(args) -> int:
     ranks = _parse_list("--ranks", args.ranks, int, ev.check_ranks)
     scores, gallery_ids, probe_ids = templates.read_score_matrix(args.scores)
     rows = _read_split_manifest(args.manifest)
-    try:
+    with storage.naming(args.manifest):
         subject_of_template = templates.template_subjects(rows)
-    except ValueError as exc:
-        raise ValueError(f"{args.manifest}: {exc}") from exc
     missing = [t for t in gallery_ids + probe_ids if t not in subject_of_template]
     if missing:
         raise ValueError(f"{args.manifest}: lacks template {missing[0]!r} named in {args.scores}")
@@ -295,9 +285,8 @@ _SYNTH_FLAGS = {
 
 
 def cmd_synth(args) -> int:
-    cfg = pl.PipelineConfig(out_dir=args.out_dir, seed=args.seed, **_flag_values(args, _SYNTH_FLAGS))
-    with pl.named_as_written(_SYNTH_FLAGS):
-        cfg.synthetic_model()  # checks every flag before anything is written
+    with pl.named_as_written(_SYNTH_FLAGS):  # every flag is checked before anything is written
+        cfg = pl.PipelineConfig(out_dir=args.out_dir, seed=args.seed, **_flag_values(args, _SYNTH_FLAGS))
     out_dir = Path(args.out_dir)
     pl.synthesize_dataset(cfg, out_dir)
     print(f"synth: {args.subjects * args.samples} features of dim {args.dim} -> {out_dir}")

@@ -82,7 +82,7 @@ class JointBayesModel:
         return self.M.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricTrainConfig:
     gamma: float = 1e-3       # learning rate for M and B
     gamma_b: float = 1e-4     # learning rate for the bias
@@ -349,7 +349,7 @@ def train_metric(
     return model, violation_fractions
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticEmbeddingModel:
     """Generator for identity-plus-variation features: x = mu + eps with
     mu ~ N(0, between_cov I) drawn once per subject and eps ~ N(0,

@@ -282,12 +282,12 @@ class PReLU(Layer):
         out = np.maximum(x, 0)
         neg_part *= self.slope
         out += neg_part
-        self._cache = (x, x < 0) if train else None
+        self._cache = x if train else None
         return out
 
     def backward(self, grad_out):
-        x, neg = self._take_cache()
-        m = neg.astype(grad_out.dtype)  # 1 where x < 0, else 0
+        x = self._take_cache()
+        m = (x < 0).astype(grad_out.dtype)  # 1 where x < 0, else 0
         gx = grad_out * x
         gx *= m
         self.grad_slope = gx.reshape(-1, self.in_channels).sum(axis=0)

@@ -20,7 +20,7 @@ __all__ = ["TrainConfig", "TrainResult", "learning_rate_at", "augment_batch", "t
 LR_HALVING_INTERVAL = 100_000  # iterations between halvings of the learning rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-2
@@ -36,6 +36,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
             raise ValueError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
+        for name in ("batch_size", "max_iters", "crop_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

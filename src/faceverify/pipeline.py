@@ -6,6 +6,11 @@ ROC/CMC evaluation, persisting every intermediate artifact so stages
 can be re-run in isolation.  A single root seed is split into fixed
 per-stage streams (see _STREAMS), which makes every artifact
 byte-reproducible for a given config.
+
+Every settings object, PipelineConfig and the SyntheticEmbeddingModel
+and MetricTrainConfig it builds, checks every rule when it is built or
+replaced and is frozen, so a bad setting fails before anything is
+written.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from faceverify.metric import (
     generate_synthetic,
     train_metric,
 )
-from faceverify.storage import open_text, write_features, write_file, write_metric_model
+from faceverify.storage import naming, open_text, write_features, write_file, write_metric_model
 from faceverify.templates import (
     SCORERS,
     ManifestRow,
@@ -70,7 +75,7 @@ def named_as_written(names: dict[str, str]):
         raise ValueError(pattern.sub(lambda m: names[m[0]], str(exc))) from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     out_dir: str = "run"
     seed: int = 0
@@ -98,14 +103,7 @@ class PipelineConfig:
     symmetrize_b: bool = True
 
     def metric_config(self, seed: int) -> MetricTrainConfig:
-        return MetricTrainConfig(
-            gamma=self.gamma,
-            gamma_b=self.gamma_b,
-            neg_to_pos_ratio=self.neg_to_pos_ratio,
-            epochs=self.epochs,
-            seed=seed,
-            symmetrize_b=self.symmetrize_b,
-        )
+        return MetricTrainConfig(**{key: getattr(self, key) for key in _SECTIONS["metric"]}, seed=seed)
 
     def synthetic_model(self) -> SyntheticEmbeddingModel:
         """The synthetic source; a bad value fails naming its config key."""
@@ -115,7 +113,7 @@ class PipelineConfig:
                 seed=derive_seed(self.seed, _STREAMS["synth"]),
             )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.scorer not in SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
         if self.splits < 1:
@@ -208,7 +206,6 @@ def make_split_manifest(
 
 def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     """Full deterministic run; returns the aggregated report."""
-    cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_dir / "config.resolved.ini")
@@ -297,16 +294,10 @@ def load_config(path) -> PipelineConfig:
         for key in parser.options(section):
             if key not in _SECTIONS[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-            try:
+            with naming(f"{path}: [{section}] {key}"):
                 kwargs[key] = _parse_value(parser, section, key)
-            except ValueError as exc:
-                raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
-    cfg = PipelineConfig(**kwargs)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return cfg
+    with naming(path):
+        return PipelineConfig(**kwargs)
 
 
 def write_config(cfg: PipelineConfig, path) -> None:

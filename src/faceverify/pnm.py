@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from faceverify.storage import write_file
+from faceverify.storage import naming, write_file
 
 __all__ = ["read_pnm", "write_pnm"]
 
@@ -42,11 +42,9 @@ def read_pnm(path: str | os.PathLike) -> np.ndarray:
     if data[:2] not in (b"P5", b"P6"):
         raise ValueError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[:2] == b"P5" else 3
-    try:
+    with naming(path):
         tokens, pos = _read_tokens(data, 3, 2)
         width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     if width < 0 or height < 0:
         raise ValueError(f"{path}: negative image size {width}x{height}")
     if width == 0 or height == 0:

@@ -40,6 +40,7 @@ from faceverify.micronet.network import LAYER_KINDS, Network
 
 __all__ = [
     "open_text",
+    "naming",
     "write_file",
     "write_checkpoint",
     "read_checkpoint",
@@ -86,6 +87,16 @@ def open_text(path, newline=None):
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text") from exc
+
+
+@contextlib.contextmanager
+def naming(where):
+    """Re-raise a ValueError from the block as one that starts with
+    where: the file, flag, key or line the bad input came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _check_left(fh, size: int, path, what: str) -> None:
@@ -150,10 +161,8 @@ def _layer_from_text(line: str) -> tuple[str, Layer]:
         raise ValueError(f"unknown layer kind {kind!r}")
     if sorted(fields) != sorted(cls.fields):
         raise ValueError(f"layer {kind} takes fields {', '.join(cls.fields) or '(none)'}, got {line!r}")
-    try:
+    with naming(f"layer {name or kind}"):
         return name, cls(**{f: cls.fields[f](raw) for f, raw in fields.items()})
-    except ValueError as exc:
-        raise ValueError(f"layer {name or kind}: {exc}") from exc
 
 
 def _net_from_text(text: str) -> Network:
@@ -208,10 +217,8 @@ def read_checkpoint(path) -> Network:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
         spec_bytes = _read_exact(fh, spec_len, path, "spec")
-        try:
+        with naming(path):
             net = _net_from_text(spec_bytes.decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
         # a layer too large for the file fails here, before any allocation
         sizes = [math.prod(shape) for layer in net.layers for shape in layer.param_shapes()]
         _check_left(fh, 8 * sum(sizes), path, "parameter data")

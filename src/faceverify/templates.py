@@ -19,7 +19,7 @@ import numpy as np
 
 from faceverify.linalg import check_finite_rows
 from faceverify.metric import JointBayesModel, cosine_matrix, similarity_matrix
-from faceverify.storage import open_text, read_features, write_file
+from faceverify.storage import naming, open_text, read_features, write_file
 
 __all__ = [
     "SCORERS",
@@ -255,10 +255,8 @@ def read_score_matrix(path) -> tuple[np.ndarray, list[str], list[str]]:
                 continue
             if len(rec) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: {len(rec) - 1} scores for {len(probe_ids)} probes")
-            try:
+            with naming(f"{path}:{reader.line_num}"):
                 row = [float(v) for v in rec[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
             bad = [v for v in row if not math.isfinite(v)]
             if bad:
                 raise ValueError(f"{path}:{reader.line_num}: score must be finite, got {bad[0]}")

@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from faceverify import pnm
 from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
 from faceverify.linalg import make_rng
-from faceverify.metric import SyntheticEmbeddingModel, init_model
-from faceverify.micronet import build_face_net, extract_features
+from faceverify.metric import MetricTrainConfig, SyntheticEmbeddingModel, init_model
+from faceverify.micronet import TrainConfig, build_face_net, extract_features
 from faceverify.pipeline import PipelineConfig, load_config, run_pipeline, write_config
 from faceverify.storage import read_checkpoint, read_features, write_checkpoint, write_features, write_metric_model
 from faceverify.templates import read_score_matrix
@@ -862,10 +863,23 @@ class TestReportCommand:
         ("ranks", (1, 0), "rank must be at least 1, got 0"),
     ])
     def test_pipeline_rejects_bad_operating_points_before_writing(self, tmp_path, field, value, message):
-        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), splits=1, **{field: value})
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_pipeline(cfg)
+            run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), splits=1, **{field: value}))
         assert not (tmp_path / "out").exists()
+
+    def test_replace_checks_the_new_values(self):
+        with pytest.raises(ValueError, match="^need at least one split$"):
+            replace(PipelineConfig(), splits=0)
+
+    @pytest.mark.parametrize("cfg, field", [
+        (PipelineConfig(), "splits"),
+        (MetricTrainConfig(), "epochs"),
+        (TrainConfig(), "batch_size"),
+        (SyntheticEmbeddingModel(dim=2, num_subjects=3, samples_per_subject=2), "dim"),
+    ])
+    def test_settings_are_frozen_once_checked(self, cfg, field):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field, 0)
 
     def test_config_resolved_reads_back_equal(self, tmp_path):
         cfg = PipelineConfig(

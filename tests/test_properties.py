@@ -4,8 +4,12 @@ generates, not only for the fixed cases of the other test files.
 Each test runs a capped, derandomized set of examples, so a run is
 repeatable and adds only seconds."""
 
+import itertools
+import struct
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -30,6 +34,7 @@ from faceverify.micronet import (
     Network,
     PReLU,
     SoftmaxXent,
+    build_face_net,
 )
 from faceverify.storage import (
     read_checkpoint,
@@ -200,6 +205,52 @@ def test_checkpoint_round_trips_exactly(tmp_path, net):
             assert type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes(), f
     for (_, name, want, _, _), (_, _, got, _, _) in zip(net.param_items(), back.param_items(), strict=True):
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+
+
+def read_cut(path, data: bytes, offset: int, read) -> None:
+    """Write data cut at offset to path; reading it back must fail with
+    a ValueError that names the file."""
+    path.write_bytes(data[:offset])
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
+def test_cut_features_and_metric_model_fail_naming_the_file(tmp_path):
+    rng = make_rng(7)
+    features, model = tmp_path / "f.jvfe", tmp_path / "m.jvjb"
+    write_features(features, rng.standard_normal((5, 4)), ["a", "b", "c", "d", "e"])
+    write_metric_model(model, JointBayesModel(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), 0.5))
+    for path, read in ((features, read_features), (model, read_metric_model)):
+        data = path.read_bytes()
+        for offset in range(len(data)):
+            read_cut(path, data, offset, read)
+
+
+def toy_checkpoint(path) -> tuple[bytes, list[int]]:
+    """A toy net's checkpoint bytes, and the offsets where its magic,
+    version, spec length, spec and each parameter array end."""
+    net = build_face_net(num_classes=4, input_size=8, width_divisor=32)
+    write_checkpoint(path, net)
+    data = path.read_bytes()
+    (spec_len,) = struct.unpack_from("<I", data, 8)
+    sizes = [8 * value.size for _, _, value, _, _ in net.param_items()]
+    return data, [0, 4, 8, 12, *itertools.accumulate(sizes, initial=12 + spec_len)][:-1]
+
+
+def test_checkpoint_cut_at_a_boundary_fails_naming_the_file(tmp_path):
+    path = tmp_path / "net.jvnt"
+    data, boundaries = toy_checkpoint(path)
+    for offset in boundaries:
+        read_cut(path, data, offset, read_checkpoint)
+
+
+@CAPPED
+@given(st.data())
+def test_checkpoint_cut_anywhere_fails_naming_the_file(tmp_path, data):
+    path = tmp_path / "net.jvnt"
+    raw, _ = toy_checkpoint(path)
+    read_cut(path, raw, data.draw(st.integers(0, len(raw) - 1)), read_checkpoint)
 
 
 template_ids = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)

@@ -49,6 +49,12 @@ def test_learning_rate_must_be_finite_and_non_negative(rate):
     assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
 
+@pytest.mark.parametrize("name", ["batch_size", "max_iters", "crop_size"])
+def test_sizes_must_be_at_least_one(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        TrainConfig(**{name: 0})
+
+
 class TestAugment:
     def _batch(self, n=6):
         return make_rng(2).random((n, 125, 125, 1))
