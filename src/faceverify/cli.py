@@ -281,22 +281,28 @@ _SYNTH_FLAGS = {
     "synth_dim": "--dim",
     "synth_s_mu": "--s-mu",
     "synth_s_eps": "--s-eps",
+    "seed": "--seed",
 }
 
 
 def cmd_synth(args) -> int:
     with pl.named_as_written(_SYNTH_FLAGS):  # every flag is checked before anything is written
-        cfg = pl.PipelineConfig(out_dir=args.out_dir, seed=args.seed, **_flag_values(args, _SYNTH_FLAGS))
+        cfg = pl.PipelineConfig(out_dir=args.out_dir, **_flag_values(args, _SYNTH_FLAGS))
     out_dir = Path(args.out_dir)
     pl.synthesize_dataset(cfg, out_dir)
     print(f"synth: {args.subjects * args.samples} features of dim {args.dim} -> {out_dir}")
     return 0
 
 
+# PipelineConfig field -> the report flag that overrides it when given
+_REPORT_FLAGS = {"seed": "--seed", "splits": "--splits", "scorer": "--scorer", "out_dir": "--out-dir"}
+
+
 def cmd_report(args) -> int:
     cfg = pl.load_config(args.config) if args.config else pl.PipelineConfig()
-    flags = {key: getattr(args, key) for key in ("seed", "splits", "scorer", "out_dir")}
-    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+    overrides = {key: value for key, value in _flag_values(args, _REPORT_FLAGS).items() if value is not None}
+    with pl.named_as_written(_REPORT_FLAGS):
+        cfg = replace(cfg, **overrides)
     report = pl.run_pipeline(cfg)
     sys.stdout.write(report.to_text())
     return 0

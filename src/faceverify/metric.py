@@ -97,10 +97,9 @@ class MetricTrainConfig:
         for name, rate in (("gamma", self.gamma), ("gamma_b", self.gamma_b)):
             if not 0.0 <= rate < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be a finite number >= 0, got {rate}")
-        if self.neg_to_pos_ratio < 1:
-            raise ValueError(f"neg_to_pos_ratio must be >= 1, got {self.neg_to_pos_ratio}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name, least in (("neg_to_pos_ratio", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass

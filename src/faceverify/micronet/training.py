@@ -36,9 +36,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < np.inf:  # NaN fails too
             raise ValueError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
-        for name in ("batch_size", "max_iters", "crop_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("batch_size", 1), ("max_iters", 1), ("crop_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -7,6 +7,11 @@ can be re-run in isolation.  A single root seed is split into fixed
 per-stage streams (see _STREAMS), which makes every artifact
 byte-reproducible for a given config.
 
+Each split runs in _run_split, which is handed the feature set, writes
+only under split<s>/ and returns that split's ({far: TAR}, {k: rank-k
+accuracy}).  The SplitReport holds those records in split order, and
+report.txt is built from them alone.
+
 Every settings object, PipelineConfig and the SyntheticEmbeddingModel
 and MetricTrainConfig it builds, checks every rule when it is built or
 replaced and is frozen, so a bad setting fails before anything is
@@ -21,7 +26,7 @@ import io
 import logging
 import re
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +121,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.scorer not in SCORERS:
             raise ValueError(f"unknown scorer {self.scorer!r}")
+        if self.seed < 0:  # before derive_seed, whose error names no seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.splits < 1:
             raise ValueError("need at least one split")
         if not 0.0 < self.train_fraction < 1.0:
@@ -135,21 +142,16 @@ class PipelineConfig:
 @dataclass
 class SplitReport:
     scorer: str
-    num_splits: int
-    tar_by_far: dict = field(default_factory=dict)       # far -> per-split list
-    rank_accuracy: dict = field(default_factory=dict)    # rank -> per-split list
+    splits: list[tuple[dict, dict]]  # per split, what _run_split returned: ({far: TAR}, {k: rank-k accuracy})
 
     def to_text(self) -> str:
-        lines = ["faceverify evaluation report", f"scorer={self.scorer}", f"splits={self.num_splits}"]
-        for section, table, label in (
-            ("verification", self.tar_by_far, "tar@far={:g}"),
-            ("identification", self.rank_accuracy, "rank-{}"),
-        ):
-            keys = sorted(table)
-            lines += ["", f"[{section}]", "split," + ",".join(label.format(k) for k in keys)]
-            lines += [f"{s}," + ",".join(f"{table[k][s]:.6f}" for k in keys) for s in range(self.num_splits)]
+        lines = ["faceverify evaluation report", f"scorer={self.scorer}", f"splits={len(self.splits)}"]
+        for section, column, label in (("verification", 0, "tar@far={:g}"), ("identification", 1, "rank-{}")):
+            table = {k: [split[column][k] for split in self.splits] for k in sorted(self.splits[0][column])}
+            lines += ["", f"[{section}]", "split," + ",".join(label.format(k) for k in table)]
+            lines += [f"{s}," + ",".join(f"{table[k][s]:.6f}" for k in table) for s in range(len(self.splits))]
             for stat, idx in (("mean", 0), ("std", 1)):
-                lines.append(stat + "," + ",".join(f"{ev.aggregate_splits(table[k])[idx]:.6f}" for k in keys))
+                lines.append(stat + "," + ",".join(f"{ev.aggregate_splits(table[k])[idx]:.6f}" for k in table))
         return "\n".join(lines) + "\n"
 
 
@@ -213,46 +215,46 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     # a synthetic set is read back from its files too, so every run scores what later stages read
     source = (cfg.features_path, cfg.manifest_path) if cfg.features_path else synthesize_dataset(cfg, out_dir)
     feats, media_ids, subject_of = read_labelled_features(*source)
-    report = SplitReport(cfg.scorer, cfg.splits, {f: [] for f in cfg.fars}, {k: [] for k in cfg.ranks})
-
-    for s in range(cfg.splits):
-        split_dir = out_dir / f"split{s:02d}"
-        split_dir.mkdir(exist_ok=True)
-        split_rng = make_rng(derive_seed(cfg.seed, _STREAMS["split"] + s))
-        rows = make_split_manifest(media_ids, subject_of, split_rng, cfg.train_fraction, str(s))
-        check_split_disjoint(rows)
-        write_manifest(split_dir / "manifest.csv", rows)
-
-        model = None
-        if cfg.scorer == "jointbayes":
-            train_rows = [r for r in rows if r.role == "train"]
-            idx = {m: i for i, m in enumerate(media_ids)}
-            train_feats = feats[[idx[r.media_path] for r in train_rows]]
-            train_labels = np.array([r.subject_id for r in train_rows])
-            mcfg = cfg.metric_config(derive_seed(cfg.seed, _STREAMS["metric"] + s))
-            model, violations = train_metric(train_feats, train_labels, mcfg)
-            write_metric_model(split_dir / "metric.jvjb", model)
-            log.info("split %d: metric violations %.3f -> %.3f", s, violations[0], violations[-1])
-
-        g_ids, g_subjects, gallery = build_templates(rows, feats, media_ids, role="gallery")
-        p_ids, p_subjects, probe = build_templates(rows, feats, media_ids, role="probe")
-        write_features(split_dir / "gallery.jvfe", gallery, g_ids)
-        write_features(split_dir / "probe.jvfe", probe, p_ids)
-
-        scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
-        write_score_matrix(split_dir / "scores.csv", scores, g_ids, p_ids)
-
-        tars, accuracies = ev.evaluate_split(
-            scores, g_subjects, p_subjects, cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv"
-        )
-        for f in cfg.fars:
-            report.tar_by_far[f].append(tars[f])
-        for k in cfg.ranks:
-            report.rank_accuracy[k].append(accuracies[k])
-        log.info("split %d done: %s", s, tars)
-
+    report = SplitReport(cfg.scorer, [_run_split(cfg, feats, media_ids, subject_of, s) for s in range(cfg.splits)])
     write_file(out_dir / "report.txt", [report.to_text().encode("utf-8")])
     return report
+
+
+def _run_split(cfg: PipelineConfig, feats: np.ndarray, media_ids: list[str], subject_of: dict, s: int):
+    """Split s of a run on the given feature set: writes its manifest,
+    metric, templates, scores and curves under split<s>/ only, and
+    returns ({far: TAR}, {k: rank-k accuracy})."""
+    split_dir = Path(cfg.out_dir) / f"split{s:02d}"
+    split_dir.mkdir(exist_ok=True)
+    split_rng = make_rng(derive_seed(cfg.seed, _STREAMS["split"] + s))
+    rows = make_split_manifest(media_ids, subject_of, split_rng, cfg.train_fraction, str(s))
+    check_split_disjoint(rows)
+    write_manifest(split_dir / "manifest.csv", rows)
+
+    model = None
+    if cfg.scorer == "jointbayes":
+        train_rows = [r for r in rows if r.role == "train"]
+        idx = {m: i for i, m in enumerate(media_ids)}
+        train_feats = feats[[idx[r.media_path] for r in train_rows]]
+        train_labels = np.array([r.subject_id for r in train_rows])
+        mcfg = cfg.metric_config(derive_seed(cfg.seed, _STREAMS["metric"] + s))
+        model, violations = train_metric(train_feats, train_labels, mcfg)
+        write_metric_model(split_dir / "metric.jvjb", model)
+        log.info("split %d: metric violations %.3f -> %.3f", s, violations[0], violations[-1])
+
+    g_ids, g_subjects, gallery = build_templates(rows, feats, media_ids, role="gallery")
+    p_ids, p_subjects, probe = build_templates(rows, feats, media_ids, role="probe")
+    write_features(split_dir / "gallery.jvfe", gallery, g_ids)
+    write_features(split_dir / "probe.jvfe", probe, p_ids)
+
+    scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
+    write_score_matrix(split_dir / "scores.csv", scores, g_ids, p_ids)
+
+    tars, accuracies = ev.evaluate_split(
+        scores, g_subjects, p_subjects, cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv"
+    )
+    log.info("split %d done: %s", s, tars)
+    return tars, accuracies
 
 
 # -- config file (key=value INI sections) -----------------------------------
@@ -306,8 +308,8 @@ def write_config(cfg: PipelineConfig, path) -> None:
         parser.add_section(section)
         for key in keys:
             value = getattr(cfg, key)
-            if isinstance(value, tuple):
-                value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+            if isinstance(value, tuple):  # str of a float is its repr, which reads back to the same float
+                value = ",".join(map(str, value))
             parser.set(section, key, str(value))
     buf = io.StringIO()
     parser.write(buf)

@@ -12,7 +12,8 @@ Three little-endian binary formats, each opened by a four-byte magic:
         them, and that layer reads them again on its first use; if the
         file has changed in between, that use fails naming the file.
   JVFE  feature matrix: magic, dim u32, count u64, count*dim float32;
-        a text sidecar at <path>.ids maps row -> media id, one per line.
+        a text sidecar at <path>.ids maps row -> media id, one per line,
+        and no id labels two rows.
         The sidecar is replaced first and the matrix last, so once a new
         matrix is visible its ids are too; between the two renames a
         reader can see new ids beside the old matrix.
@@ -283,6 +284,7 @@ def write_features(path, features: np.ndarray, media_ids: list[str]) -> None:
     for row, m in enumerate(media_ids):
         if not m or "\n" in m or "\r" in m:
             raise ValueError(f"{path}: media id {m!r} of row {row} is empty or holds a line break")
+    _check_unique(path, media_ids)
     write_file(_ids_path(path), ["".join(m + "\n" for m in media_ids).encode("utf-8")])
     header = FEATURE_MAGIC + struct.pack("<IQ", features.shape[1], features.shape[0])
     write_file(path, [header, np.ascontiguousarray(features, dtype="<f4").tobytes()])
@@ -302,7 +304,18 @@ def read_features(path) -> tuple[np.ndarray, list[str]]:
         media_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
     if len(media_ids) != count:
         raise ValueError(f"{path}: sidecar lists {len(media_ids)} ids for {count} rows")
+    _check_unique(path, media_ids)
     return feats, media_ids
+
+
+def _check_unique(path, media_ids: list[str]) -> None:
+    """Reject a media id that labels two rows, naming both: a lookup by
+    id would silently read only one of them."""
+    row_of: dict[str, int] = {}
+    for row, m in enumerate(media_ids):
+        first = row_of.setdefault(m, row)
+        if first != row:
+            raise ValueError(f"{path}: media id {m!r} labels both row {first} and row {row}")
 
 
 def write_metric_model(path, model: JointBayesModel) -> None:

@@ -165,6 +165,12 @@ class TestSynthCommand:
         assert capsys.readouterr().err == f"synth: error: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_names_the_flag_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "synth: error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestStageCommands:
     @pytest.fixture
@@ -424,6 +430,16 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"train-metric: error: {message}\n"
         assert not out.exists()
 
+    def test_train_metric_negative_seed_names_the_flag_before_writing(self, synth_run, tmp_path, capsys):
+        out = tmp_path / "metric.jvjb"
+        rc = main([
+            "train-metric", "--features", str(synth_run / "features.jvfe"),
+            "--manifest", str(synth_run / "media.csv"), "--out", str(out), "--seed", "-1",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "train-metric: error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scorer, probe_dim, model_dim, dims", [
         ("cosine", 5, None, "gallery 8, probe 5"),
         ("jointbayes", 8, 5, "gallery 8, probe 8, model 5"),
@@ -551,6 +567,18 @@ class TestTrainExtractCommands:
                   "--width-divisor", "16", "--iters", value])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"train-cnn: error: argument --iters: must be at least 1, got {value}\n")
+        assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
+
+    def test_negative_seed_names_the_flag_before_training(self, tmp_path, capsys):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", np.zeros((8, 8)))
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("a.pgm,c0\na.pgm,c1\n")
+        out = tmp_path / "out.jvnt"
+        assert main(["train-cnn", "--manifest", str(manifest), "--images-root", str(img_dir), "--out", str(out),
+                     "--width-divisor", "16", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "train-cnn: error: --seed must be >= 0, got -1\n"
         assert sorted(tmp_path.iterdir()) == sorted([img_dir, manifest])  # nothing written
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
@@ -782,6 +810,12 @@ class TestReportCommand:
         assert quiet.out == loud.out == after.out and quiet.out
         assert quiet_files == loud_files == after_files and len(quiet_files) == 14
 
+    def test_split_lines_come_in_split_order(self, tmp_path, capsys):
+        assert main(["-v", "info", "report", "--out-dir", str(tmp_path / "run"), "--seed", "1", "--splits", "2"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        heads = [re.match(r"faceverify: INFO: (split \d+(?:: metric violations | done: ))", line)[1] for line in lines]
+        assert heads == ["split 0: metric violations ", "split 0 done: ", "split 1: metric violations ", "split 1 done: "]
+
     def test_log_level_rejects_an_unknown_level(self, capsys):
         with pytest.raises(SystemExit):
             main(["--log-level", "loud", "report"])
@@ -871,6 +905,30 @@ class TestReportCommand:
         with pytest.raises(ValueError, match="^need at least one split$"):
             replace(PipelineConfig(), splits=0)
 
+    def test_repeated_far_or_rank_is_reported_once(self, tmp_path):
+        reports = []
+        for name, protocol in (("once", "fars = 0.1\nranks = 1\n"), ("twice", "fars = 0.1,0.1\nranks = 1,1\n")):
+            cfg_path = tmp_path / f"{name}.ini"
+            cfg_path.write_text(f"[pipeline]\nseed = 0\nsplits = 3\nout_dir = {tmp_path / name}\n[protocol]\n{protocol}")
+            assert main(["report", "--config", str(cfg_path)]) == 0
+            reports.append((tmp_path / name / "report.txt").read_text())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cls", [PipelineConfig, MetricTrainConfig, TrainConfig])
+    def test_negative_seed_is_rejected_naming_seed(self, cls):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            cls(seed=-1)
+
+    def test_negative_seed_names_the_flag_or_key_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["report", "--out-dir", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "report: error: --seed must be >= 0, got -1\n"
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[pipeline]\nseed = -1\n")
+        assert main(["report", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"report: error: {cfg_path}: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg, field", [
         (PipelineConfig(), "splits"),
         (MetricTrainConfig(), "epochs"),
@@ -884,7 +942,7 @@ class TestReportCommand:
     def test_config_resolved_reads_back_equal(self, tmp_path):
         cfg = PipelineConfig(
             out_dir=str(tmp_path / "x"), seed=7, scorer="cosine", synth_s_eps=0.5,
-            fars=(0.001, 0.5), ranks=(2, 3), epochs=9, symmetrize_b=False,
+            fars=(0.001, 0.5, 0.0012345678), ranks=(2, 3), epochs=9, symmetrize_b=False,
         )
         write_config(cfg, tmp_path / "cfg.ini")
         assert load_config(tmp_path / "cfg.ini") == cfg
@@ -938,6 +996,18 @@ class TestReportCommand:
         rc = main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == f"report: error: {manifest}: lacks media 's0000/m04' named in {features}\n"
+
+    def test_prebuilt_features_that_repeat_a_media_id_are_rejected(self, tmp_path, capsys):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--seed", "3"]) == 0
+        features = synth / "features.jvfe"
+        ids = Path(f"{features}.ids")
+        ids.write_text(ids.read_text().replace("s0000/m01\n", "s0000/m00\n", 1))
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[source]\nfeatures_path = {features}\nmanifest_path = {synth / 'media.csv'}\n")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"report: error: {features}: media id 's0000/m00' labels both row 0 and row 1\n"
 
     def test_bad_config_path_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

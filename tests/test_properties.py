@@ -116,7 +116,7 @@ def feature_files(draw):
     count = draw(st.integers(0, 6))
     dim = draw(st.integers(1, 5))
     feats = draw(arrays(np.float32, (count, dim), elements=st.floats(allow_nan=False, allow_infinity=False, width=32)))
-    ids = draw(st.lists(media_ids, min_size=count, max_size=count))
+    ids = draw(st.lists(media_ids, min_size=count, max_size=count, unique=True))
     return feats, ids
 
 

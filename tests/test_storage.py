@@ -407,6 +407,21 @@ class TestFeatures:
             write_features(path, np.ones((len(ids), 2)), ids)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_repeated_media_id_rejected_before_any_write(self, tmp_path):
+        path = tmp_path / "f.jvfe"
+        write_features(path, np.zeros((3, 2)), ["old0", "old1", "old2"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="^.*f.jvfe: media id 'b' labels both row 1 and row 2$"):
+            write_features(path, np.ones((3, 2)), ["a", "b", "b"])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_repeated_media_id_in_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "f.jvfe"
+        write_features(path, np.zeros((3, 2)), ["a", "b", "c"])
+        (tmp_path / "f.jvfe.ids").write_text("a\nb\na\n")
+        with pytest.raises(ValueError, match="^.*f.jvfe: media id 'a' labels both row 0 and row 2$"):
+            read_features(path)
+
     def test_sidecar_replaced_before_matrix(self, tmp_path, monkeypatch):
         replaced = []
         real_replace = os.replace
