@@ -19,6 +19,14 @@ gamma * y * (x_i x_j^T + x_j x_i^T), which keeps similarity(x, y) ==
 similarity(y, x) at every step.  Set symmetrize_b=False for the literal
 rule.
 
+hinge_step runs once per pair step, so numpy's per-call overhead is
+most of its cost.  It scores through ndarray.dot, not @: both reach the
+same BLAS gemv and ddot calls and give the same bytes, but at d=32
+matmul's dispatch for 1-D operands costs about 1.8 us per chain against
+about 0.95 us for .dot.  It computes x_i - x_j once and builds each
+update in one d x d buffer, every element's operations in the order of
+the np.outer form, so the model keeps its bytes.
+
 train_metric's margin decisions are exact: every pair step decides as
 the scalar hinge_step would, so the model is the same bit for bit.  An
 epoch is screened while it has met fewer than steps / n violators (n
@@ -111,11 +119,11 @@ class PairBatch:
     y: np.ndarray
 
 
-def _distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """The single-pair form on float64 vectors of length model.dim;
-    checks nothing."""
-    diff = x_i - x_j
-    return float(diff @ model.M @ diff - 2.0 * (x_i @ model.B @ x_j))
+def _distance(model: JointBayesModel, x_i: np.ndarray, x_j: np.ndarray, diff: np.ndarray) -> float:
+    """The single-pair form on float64 vectors of length model.dim, with
+    diff = x_i - x_j; checks nothing.  It uses ndarray.dot for the
+    reason the module docstring gives."""
+    return float(diff.dot(model.M).dot(diff) - 2.0 * x_i.dot(model.B).dot(x_j))
 
 
 def similarity_matrix(model: JointBayesModel, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -160,16 +168,29 @@ def hinge_step(
     x_i and x_j must be float64 vectors of length model.dim: this runs
     once per pair step and checks nothing (train_metric checks its
     feature matrix once per call).
+
+    numpy's per-call overhead is most of the step's cost, so it
+    computes diff once, scores through ndarray.dot (the same BLAS calls
+    as @, at half the dispatch cost for vectors) and builds each update
+    in one d x d buffer.  Each element keeps the operation order of the
+    np.outer form, so the model is the same bit for bit: M takes
+    s (d_i d_j) with s = gamma y, the symmetric B s (c_ij + c_ji) with
+    c = x_i x_j^T, and the literal B (2 gamma y) c_ij.
     """
-    if y * (model.b - _distance(model, x_i, x_j)) > 1.0:
-        return False
     diff = x_i - x_j
-    model.M -= cfg.gamma * y * np.outer(diff, diff)
+    if y * (model.b - _distance(model, x_i, x_j, diff)) > 1.0:
+        return False
+    s = cfg.gamma * y
+    buf = diff[:, None] * diff
+    buf *= s
+    model.M -= buf
+    np.multiply(x_i[:, None], x_j, out=buf)
     if cfg.symmetrize_b:
-        cross = np.outer(x_i, x_j)
-        model.B += cfg.gamma * y * (cross + cross.T)
+        buf += buf.T  # numpy reads the overlapping transpose from a copy
+        buf *= s
     else:
-        model.B += 2.0 * cfg.gamma * y * np.outer(x_i, x_j)
+        buf *= 2.0 * cfg.gamma * y
+    model.B += buf
     model.b += cfg.gamma_b * y
     return True
 
@@ -355,8 +376,9 @@ class SyntheticEmbeddingModel:
     within_cov I) per sample, then L2-normalized like real features.
     Both covariances are scalar multiples of the identity, the only
     kind.  Every rule is checked when the model is built: each size is
-    >= 1, each scale is a finite number >= 0, and the two scales are not
-    both zero (every sample would be the zero vector)."""
+    >= 1, the seed is >= 0, each scale is a finite number >= 0, and the
+    two scales are not both zero (every sample would be the zero
+    vector)."""
 
     dim: int
     num_subjects: int
@@ -366,9 +388,9 @@ class SyntheticEmbeddingModel:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "num_subjects", "samples_per_subject"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("dim", 1), ("num_subjects", 1), ("samples_per_subject", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("between_cov", "within_cov"):
             scale = getattr(self, name)
             if not (np.isscalar(scale) and 0.0 <= scale < np.inf):  # NaN fails too

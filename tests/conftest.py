@@ -103,6 +103,22 @@ def plain_train_metric(features, labels, cfg):
     return model, fractions
 
 
+def reference_hinge_step(model, x_i, x_j, y, cfg) -> bool:
+    """hinge_step written with @ chains and np.outer copies, the
+    reference whose flags and model bytes the step must equal."""
+    diff = x_i - x_j
+    if y * (model.b - float(diff @ model.M @ diff - 2.0 * (x_i @ model.B @ x_j))) > 1.0:
+        return False
+    model.M -= cfg.gamma * y * np.outer(diff, diff)
+    if cfg.symmetrize_b:
+        cross = np.outer(x_i, x_j)
+        model.B += cfg.gamma * y * (cross + cross.T)
+    else:
+        model.B += 2.0 * cfg.gamma * y * np.outer(x_i, x_j)
+    model.b += cfg.gamma_b * y
+    return True
+
+
 def _check_vector(model: JointBayesModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape[0] != model.dim:
@@ -113,7 +129,8 @@ def _check_vector(model: JointBayesModel, x) -> np.ndarray:
 def distance(model: JointBayesModel, x_i, x_j) -> float:
     """The single-pair reference: (x_i-x_j)^T M (x_i-x_j) - 2 x_i^T B
     x_j, through hinge_step's own form, with both vectors checked."""
-    return _distance(model, _check_vector(model, x_i), _check_vector(model, x_j))
+    x_i, x_j = _check_vector(model, x_i), _check_vector(model, x_j)
+    return _distance(model, x_i, x_j, x_i - x_j)
 
 
 def similarity(model: JointBayesModel, x_i, x_j) -> float:

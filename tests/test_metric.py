@@ -8,7 +8,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import MaskPairSampler, distance, max_relative_error, plain_train_metric, similarity
+from conftest import (
+    MaskPairSampler,
+    distance,
+    max_relative_error,
+    plain_train_metric,
+    reference_hinge_step,
+    similarity,
+)
 from faceverify.linalg import l2_normalize, make_rng
 from faceverify.metric import (
     JointBayesModel,
@@ -229,6 +236,31 @@ class TestHingeStep:
             hinge_step(model, x_i / np.linalg.norm(x_i), x_j / np.linalg.norm(x_j), y, cfg)
             npt.assert_array_equal(model.M, model.M.T)
             npt.assert_allclose(model.B, model.B.T, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 32, 320])
+    @pytest.mark.parametrize("symmetrize_b", [True, False], ids=["symmetric", "literal"])
+    @pytest.mark.parametrize("stride", [1, 2], ids=["contiguous", "strided"])
+    def test_same_bytes_as_the_reference_step(self, d, symmetrize_b, stride):
+        # 200 steps of mixed labels, about two thirds of them violators;
+        # gamma is no power of two, so scaling diff before the product,
+        # (s d_i) d_j, rounds differently from s (d_i d_j)
+        rng = make_rng(90 + d)
+        feats = rng.standard_normal((20, stride * d))[:, ::stride]
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        model = random_model(d, seed=d, scale=1.0 / np.sqrt(d))
+        want_model = copy.deepcopy(model)
+        cfg = MetricTrainConfig(gamma=0.37, gamma_b=0.11, symmetrize_b=symmetrize_b)
+        got, want = [], []
+        for _ in range(200):
+            i, j = rng.integers(0, 20, 2)
+            y = int(rng.choice([-1, 1]))
+            got.append(hinge_step(model, feats[i], feats[j], y, cfg))
+            want.append(reference_hinge_step(want_model, feats[i], feats[j], y, cfg))
+        assert got == want
+        assert 50 < sum(got) < 180
+        assert model.M.tobytes() == want_model.M.tobytes()
+        assert model.B.tobytes() == want_model.B.tobytes()
+        assert np.float64(model.b).tobytes() == np.float64(want_model.b).tobytes()
 
     def test_score_symmetry_preserved_during_training(self):
         rng = make_rng(41)
@@ -548,7 +580,7 @@ class TestMarginScreen:
         violators = 0
         for k, (i, j, y) in enumerate(zip(batch.i[:400], batch.j[:400], batch.y[:400])):
             # the scalar margin sits on the unit margin, give or take two ulps of b
-            b = int(y) + _distance(model, feats[i], feats[j])
+            b = int(y) + _distance(model, feats[i], feats[j], feats[i] - feats[j])
             model.b = b + (k % 5 - 2) * np.spacing(b)
             skipped = not _undecided(_screen_cache(feats, r2, model), feats, i[None], j[None], y[None])[0]
             if hinge_step(copy.deepcopy(model), feats[i], feats[j], int(y), cfg):
@@ -566,15 +598,36 @@ class TestTrainMetricGolden:
     1e-12 relative.  One flipped margin decision changes a fraction and
     moves M, B and b by a rank-one step."""
 
-    @pytest.mark.parametrize("name", sorted(TRAIN_GOLDEN_SETS))
-    def test_matches_golden(self, name):
+    @staticmethod
+    def assert_matches_golden(name, got):
         want = json.loads((GOLDEN / "train_metric.json").read_text(encoding="utf-8"))[name]
-        got = train_golden_record(name)
         assert got["violation_fractions"] == want["violation_fractions"]
         assert abs(got["b"] - want["b"]) <= 1e-12 * abs(want["b"])
         for key in ("M_probes", "B_probes"):
             want_arr = np.array(want[key])
             assert np.max(np.abs(np.array(got[key]) - want_arr)) <= 1e-12 * np.max(np.abs(want_arr)), key
+
+    @pytest.mark.parametrize("name", sorted(TRAIN_GOLDEN_SETS))
+    def test_matches_golden(self, name):
+        self.assert_matches_golden(name, train_golden_record(name))
+
+    def test_every_update_goes_through_hinge_step(self, monkeypatch):
+        # each violator the fractions count is a hinge_step call that
+        # returned True, so no second copy of the update can run
+        updates = []
+
+        def counted_step(*args):
+            violated = hinge_step(*args)
+            updates.append(violated)
+            return violated
+
+        monkeypatch.setattr("faceverify.metric.hinge_step", counted_step)
+        got = train_golden_record("d32")
+        self.assert_matches_golden("d32", got)
+        gen_kwargs, epochs = TRAIN_GOLDEN_SETS["d32"]
+        _, labels = generate_synthetic(SyntheticEmbeddingModel(**gen_kwargs))
+        steps = 2 * len(PairSampler(labels, make_rng(0), MetricTrainConfig()).pos_pairs)
+        assert sum(updates) == sum(round(f * steps) for f in got["violation_fractions"]) > 0
 
 
 class TestVerificationRegression:
@@ -652,6 +705,11 @@ class TestSyntheticGenerator:
         sizes = {**dict(dim=5, num_subjects=3, samples_per_subject=2), field: value}
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             SyntheticEmbeddingModel(**sizes)
+
+    def test_negative_seed_rejected_when_built(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SyntheticEmbeddingModel(dim=5, num_subjects=3, samples_per_subject=2, seed=-1)
+        SyntheticEmbeddingModel(dim=5, num_subjects=3, samples_per_subject=2, seed=0)
 
     def test_deterministic(self):
         gen = SyntheticEmbeddingModel(dim=5, num_subjects=3, samples_per_subject=2, seed=72)
