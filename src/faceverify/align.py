@@ -2,10 +2,10 @@
 
 Seven landmarks per face (left-eye outer, left-eye inner, right-eye
 inner, right-eye outer, nose tip, left mouth corner, right mouth
-corner) are registered onto a canonical 100x100 frame with a
-4-parameter similarity transform (uniform scale, rotation,
-translation -- no reflection), then the image is resampled into the
-frame with bilinear interpolation.
+corner) are registered onto the one canonical 100x100 frame
+(CanonicalFrame, fixed like the paper's) with a 4-parameter similarity
+transform (uniform scale, rotation, translation -- no reflection), then
+the image is resampled into the frame with bilinear interpolation.
 
 Coordinate convention: points are (x, y) with x the column and y the
 row; pixel centers sit at integer coordinates.  A transform maps
@@ -16,7 +16,7 @@ source landmarks by delta shifts the estimate's translation by -delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,7 @@ DEFAULT_CANONICAL_POINTS = np.array(
         [64.0, 78.0],  # right mouth corner
     ]
 )
+DEFAULT_CANONICAL_POINTS.flags.writeable = False  # shared by every CanonicalFrame
 
 
 @dataclass(frozen=True)
@@ -110,19 +111,12 @@ class SimilarityTransform:
         return SimilarityTransform(ia, ib, -(ia * self.tx - ib * self.ty), -(ib * self.tx + ia * self.ty))
 
 
-@dataclass(frozen=True)
 class CanonicalFrame:
-    """Target frame geometry: size in pixels plus landmark layout."""
+    """The one target frame: 100x100 pixels with the default landmark
+    layout, which every instance shares read-only."""
 
-    width: int = 100
-    height: int = 100
-    landmarks: np.ndarray = field(default_factory=lambda: DEFAULT_CANONICAL_POINTS.copy())
-
-    def __post_init__(self):
-        pts = np.asarray(self.landmarks, dtype=np.float64)
-        if pts.shape != (NUM_LANDMARKS, 2):
-            raise ValueError(f"canonical layout needs {NUM_LANDMARKS} points, got {pts.shape}")
-        object.__setattr__(self, "landmarks", pts)
+    width = height = 100
+    landmarks = DEFAULT_CANONICAL_POINTS
 
 
 def estimate_similarity(src: np.ndarray, dst: np.ndarray) -> SimilarityTransform:

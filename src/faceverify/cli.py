@@ -148,7 +148,8 @@ def cmd_extract(args) -> int:
         raise ValueError(f"{root / media[0]}: {h}x{w} image is smaller than the {th}x{tw} net input")
     oy, ox = (h - th) // 2, (w - tw) // 2  # center-crop larger inputs
     images = images[:, oy : oy + th, ox : ox + tw, :]
-    feats = extract_features(net, images)
+    with storage.naming(args.model):
+        feats = extract_features(net, images)
     storage.write_features(args.out, feats, media)
     print(f"extract: {feats.shape[0]} features of dim {feats.shape[1]} -> {args.out}")
     return 0
@@ -269,7 +270,9 @@ def cmd_fuse(args) -> int:
     if g1 != g2 or p1 != p2:
         print(f"fuse: template id mismatch between {args.a} and {args.b}", file=sys.stderr)
         return 2
-    templates.write_score_matrix(args.out, templates.fuse_scores(s1, s2), g1, p1)
+    with storage.naming(f"{args.a} + {args.b}"):
+        fused = templates.fuse_scores(s1, s2)
+    templates.write_score_matrix(args.out, fused, g1, p1)
     print(f"fuse: wrote {args.out}")
     return 0
 
@@ -303,8 +306,7 @@ def cmd_report(args) -> int:
     overrides = {key: value for key, value in _flag_values(args, _REPORT_FLAGS).items() if value is not None}
     with pl.named_as_written(_REPORT_FLAGS):
         cfg = replace(cfg, **overrides)
-    report = pl.run_pipeline(cfg)
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(pl.run_pipeline(cfg))
     return 0
 
 

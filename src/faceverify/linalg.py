@@ -49,11 +49,6 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     must not silently enter scoring.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        n = np.linalg.norm(x)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return x / n
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize rows with zero norm")

@@ -317,7 +317,9 @@ def train_metric(
 
     The one check of the metric stage's input: features must be a 2-D
     finite matrix with one label per row, and PairSampler rejects a
-    non-finite label.  The pair steps check nothing.
+    non-finite label.  The pair steps check nothing; the model is checked
+    after each epoch, and a NaN or inf in M, B or b (steps too large for
+    the features) aborts with ValueError naming the epoch.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -336,7 +338,7 @@ def train_metric(
     cache = None  # _screen_cache of the current model, built on demand
     screened = True  # no history yet, so the first epoch starts screened
     violation_fractions: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         batch = sampler.epoch()
         pair_i, pair_j, pair_y = batch.i.tolist(), batch.j.tolist(), batch.y.tolist()
         steps = len(pair_y)
@@ -361,6 +363,8 @@ def train_metric(
                         k = t + 1
                         screened = violations * len(rows) < steps
                         break
+        if not (np.isfinite(model.M).all() and np.isfinite(model.B).all() and np.isfinite(model.b)):
+            raise ValueError(f"metric training diverged: M, B or b holds NaN or inf after epoch {epoch}")
         violation_fractions.append(violations / steps)
         # a violator met while screened costs one n x d x d rebuild, so an
         # epoch is screened only while it has met fewer than steps / n of

@@ -204,12 +204,10 @@ class Conv3x3(Layer):
         n, h, w, _ = x.shape
         xp = self._pad(x)
         out = np.empty((n, h, w, self.out_channels), dtype=self.dtype)
-        if h * w >= _GROUP_PIXELS:
-            rows = max(1, _GROUP_PIXELS // w)
-            groups = [(i, i + 1, r, min(r + rows, h)) for i in range(n) for r in range(0, h, rows)]
-        else:
-            images = _GROUP_PIXELS // max(1, h * w)
-            groups = [(i, min(i + images, n), 0, h) for i in range(0, n, images)]
+        # one image per band when h * w >= _GROUP_PIXELS; else rows >= h, so whole images
+        images = max(1, _GROUP_PIXELS // (h * w))
+        rows = max(1, _GROUP_PIXELS // w)
+        groups = [(i, min(i + images, n), r, min(r + rows, h)) for i in range(0, n, images) for r in range(0, h, rows)]
         taps = [((di, dj), self.weights[di, dj]) for di in range(3) for dj in range(3)]
         _nine_taps(xp, out, groups, taps, self.bias)
         self._cache = xp if train else None

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from faceverify.linalg import l2_normalize
+from faceverify.linalg import check_finite_rows, l2_normalize
 from faceverify.micronet.layers import (
     Conv3x3,
     CrossChannelNorm,
@@ -42,6 +42,7 @@ _STOCK_BLOCKS = [
     (160, 320),
 ]
 _NORM_AFTER = {1, 3}  # conv indices (0-based) followed by cross-channel norm
+_DROPOUT_RATE = 0.4  # before the classifier
 
 
 LAYER_KINDS = {
@@ -196,7 +197,6 @@ def build_face_net(
     in_channels: int = 1,
     input_size: int = 100,
     width_divisor: int = 1,
-    dropout_rate: float = 0.4,
     dtype=np.float64,
 ) -> Network:
     """Instantiate the stock architecture (parameters start at zero).
@@ -226,7 +226,7 @@ def build_face_net(
         if block_num < len(_STOCK_BLOCKS):
             layers.append((f"pool{block_num}", MaxPool2x2()))
     layers.append(("pool5", GlobalAvgPool()))
-    layers.append(("dropout", Dropout(dropout_rate)))
+    layers.append(("dropout", Dropout(_DROPOUT_RATE)))
     layers.append(("fc6", Dense(prev, num_classes, dtype=dtype)))
     layers.append(("cost", SoftmaxXent()))
     return Network(layers, (input_size, input_size, in_channels), num_classes)
@@ -234,9 +234,12 @@ def build_face_net(
 
 def extract_features(net: Network, images: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Unit-norm pooled descriptors for a stack of aligned images, (0, c)
-    for an empty stack.
+    for an empty stack.  A pooled descriptor that holds NaN or inf (the
+    net's weights overflow) is rejected, not normalized.
 
     `batch_size` is unused: `Network.features` walks one image at a time,
     so no batch size bounds memory or changes a feature.  It stays for
     callers that still pass it."""
-    return l2_normalize(net.features(images))
+    pooled = net.features(images)
+    check_finite_rows(pooled, "pooled feature")
+    return l2_normalize(pooled)

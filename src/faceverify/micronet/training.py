@@ -1,10 +1,11 @@
 """SGD training for the network engine.
 
-Classifier training follows the classical recipe: momentum SGD, a
-learning rate halved every fixed number of iterations, weight decay on
-the fully connected layer only (never on biases or PReLU slopes), and
-optional horizontal-flip / random-crop augmentation.  Everything is
-deterministic given the config seed.
+Classifier training follows one fixed recipe: momentum SGD with
+momentum MOMENTUM (0.9), a learning rate halved every
+LR_HALVING_INTERVAL (100,000) iterations, weight decay WEIGHT_DECAY_FC
+(5e-4) on the fully connected weights only (never on biases or PReLU
+slopes), and optional horizontal-flip / random-crop augmentation.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from faceverify.linalg import make_rng
 __all__ = ["TrainConfig", "TrainResult", "learning_rate_at", "augment_batch", "train"]
 
 LR_HALVING_INTERVAL = 100_000  # iterations between halvings of the learning rate
+MOMENTUM = 0.9
+WEIGHT_DECAY_FC = 5e-4  # on the fully connected weights only
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-2
-    momentum: float = 0.9
-    weight_decay_fc: float = 5e-4
     max_iters: int = 1000
     seed: int = 0
     init_std: float = 0.01
@@ -79,18 +80,18 @@ def augment_batch(batch: np.ndarray, rng: np.random.Generator, cfg: TrainConfig)
 
 class _MomentumSGD:
     """Classical momentum: v <- mu*v - lr*(grad + wd*w); w <- w + v, with
-    wd = weight_decay_fc on the fully connected weights and 0 elsewhere."""
+    mu = MOMENTUM, and wd = WEIGHT_DECAY_FC on the fully connected weights
+    and 0 elsewhere."""
 
-    def __init__(self, net, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, net):
         self.net = net
         self.velocities = [np.zeros_like(value) for _, _, value, _, _ in net.param_items()]
 
     def step(self, lr: float) -> None:
         for v, (_, _, value, grad, group) in zip(self.velocities, self.net.param_items()):
-            wd = self.cfg.weight_decay_fc if group == "fc" else 0.0
+            wd = WEIGHT_DECAY_FC if group == "fc" else 0.0
             g = grad + wd * value if wd else grad
-            v *= self.cfg.momentum
+            v *= MOMENTUM
             v -= lr * g
             value += v
 
@@ -106,7 +107,7 @@ def train(net, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> Trai
     rng = make_rng(cfg.seed)
     net.initialize(rng, cfg.init_std)
     net.input_mean = float(images.mean())
-    optimizer = _MomentumSGD(net, cfg)
+    optimizer = _MomentumSGD(net)
     result = TrainResult()
 
     n = images.shape[0]

@@ -9,8 +9,10 @@ byte-reproducible for a given config.
 
 Each split runs in _run_split, which is handed the feature set, writes
 only under split<s>/ and returns that split's ({far: TAR}, {k: rank-k
-accuracy}).  The SplitReport holds those records in split order, and
-report.txt is built from them alone.
+accuracy}).  report.txt is rendered once, from those records alone in
+split order, and run_pipeline returns that text for `report` to print.
+A stage that makes a NaN or inf (a diverged metric, an overflowing
+score) fails before writing it.
 
 Every settings object, PipelineConfig and the SyntheticEmbeddingModel
 and MetricTrainConfig it builds, checks every rule when it is built or
@@ -51,7 +53,7 @@ from faceverify.templates import (
     write_score_matrix,
 )
 
-__all__ = ["PipelineConfig", "SplitReport", "named_as_written", "run_pipeline", "synthesize_dataset", "load_config"]
+__all__ = ["PipelineConfig", "named_as_written", "run_pipeline", "synthesize_dataset", "load_config"]
 
 log = logging.getLogger("faceverify")
 
@@ -139,20 +141,17 @@ class PipelineConfig:
         self.metric_config(self.seed)  # so does MetricTrainConfig
 
 
-@dataclass
-class SplitReport:
-    scorer: str
-    splits: list[tuple[dict, dict]]  # per split, what _run_split returned: ({far: TAR}, {k: rank-k accuracy})
-
-    def to_text(self) -> str:
-        lines = ["faceverify evaluation report", f"scorer={self.scorer}", f"splits={len(self.splits)}"]
-        for section, column, label in (("verification", 0, "tar@far={:g}"), ("identification", 1, "rank-{}")):
-            table = {k: [split[column][k] for split in self.splits] for k in sorted(self.splits[0][column])}
-            lines += ["", f"[{section}]", "split," + ",".join(label.format(k) for k in table)]
-            lines += [f"{s}," + ",".join(f"{table[k][s]:.6f}" for k in table) for s in range(len(self.splits))]
-            for stat, idx in (("mean", 0), ("std", 1)):
-                lines.append(stat + "," + ",".join(f"{ev.aggregate_splits(table[k])[idx]:.6f}" for k in table))
-        return "\n".join(lines) + "\n"
+def _report_text(scorer: str, splits: list[tuple[dict, dict]]) -> str:
+    """report.txt from what each _run_split returned, in split order:
+    ({far: TAR}, {k: rank-k accuracy})."""
+    lines = ["faceverify evaluation report", f"scorer={scorer}", f"splits={len(splits)}"]
+    for section, column, label in (("verification", 0, "tar@far={:g}"), ("identification", 1, "rank-{}")):
+        table = {k: [split[column][k] for split in splits] for k in sorted(splits[0][column])}
+        lines += ["", f"[{section}]", "split," + ",".join(label.format(k) for k in table)]
+        lines += [f"{s}," + ",".join(f"{table[k][s]:.6f}" for k in table) for s in range(len(splits))]
+        for stat, idx in (("mean", 0), ("std", 1)):
+            lines.append(stat + "," + ",".join(f"{ev.aggregate_splits(table[k])[idx]:.6f}" for k in table))
+    return "\n".join(lines) + "\n"
 
 
 def synthesize_dataset(cfg: PipelineConfig, out_dir: Path) -> tuple[Path, Path]:
@@ -206,8 +205,8 @@ def make_split_manifest(
     return rows
 
 
-def run_pipeline(cfg: PipelineConfig) -> SplitReport:
-    """Full deterministic run; returns the aggregated report."""
+def run_pipeline(cfg: PipelineConfig) -> str:
+    """Full deterministic run; returns the text it wrote to report.txt."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_dir / "config.resolved.ini")
@@ -215,8 +214,8 @@ def run_pipeline(cfg: PipelineConfig) -> SplitReport:
     # a synthetic set is read back from its files too, so every run scores what later stages read
     source = (cfg.features_path, cfg.manifest_path) if cfg.features_path else synthesize_dataset(cfg, out_dir)
     feats, media_ids, subject_of = read_labelled_features(*source)
-    report = SplitReport(cfg.scorer, [_run_split(cfg, feats, media_ids, subject_of, s) for s in range(cfg.splits)])
-    write_file(out_dir / "report.txt", [report.to_text().encode("utf-8")])
+    report = _report_text(cfg.scorer, [_run_split(cfg, feats, media_ids, subject_of, s) for s in range(cfg.splits)])
+    write_file(out_dir / "report.txt", [report.encode("utf-8")])
     return report
 
 

@@ -187,7 +187,8 @@ def score_templates(
     model: JointBayesModel | None = None,
 ) -> np.ndarray:
     """Dense |gallery| x |probe| similarity matrix of two stacked
-    (templates x dim) feature matrices; a NaN or inf entry is rejected."""
+    (templates x dim) feature matrices; a NaN or inf entry is rejected,
+    in the features and in the scores they give."""
     check_finite_rows(gallery, "gallery")
     check_finite_rows(probe, "probe")
     dims = {"gallery": gallery.shape[1], "probe": probe.shape[1]}
@@ -196,21 +197,27 @@ def score_templates(
     if len(set(dims.values())) > 1:
         raise ValueError("dimensions differ: " + ", ".join(f"{what} {d}" for what, d in dims.items()))
     if scorer == "cosine":
-        return cosine_matrix(gallery, probe)
-    if scorer == "jointbayes":
+        scores = cosine_matrix(gallery, probe)
+    elif scorer == "jointbayes":
         if model is None:
             raise ValueError("jointbayes scoring needs a trained model")
-        return similarity_matrix(model, gallery, probe)
-    raise ValueError(f"unknown scorer {scorer!r}")
+        scores = similarity_matrix(model, gallery, probe)
+    else:
+        raise ValueError(f"unknown scorer {scorer!r}")
+    check_finite_rows(scores, "score matrix")
+    return scores
 
 
 def fuse_scores(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Elementwise sum of two similarity matrices of identical shape."""
+    """Elementwise sum of two similarity matrices of identical shape; a
+    sum that overflows to inf is rejected."""
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.shape != s2.shape:
         raise ValueError(f"score matrices differ in shape: {s1.shape} vs {s2.shape}")
-    return s1 + s2
+    fused = s1 + s2
+    check_finite_rows(fused, "fused score matrix")
+    return fused
 
 
 def write_score_matrix(path, scores: np.ndarray, gallery_ids: list[str], probe_ids: list[str]) -> None:

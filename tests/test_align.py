@@ -41,9 +41,10 @@ class TestCanonicalFrame:
         frame = CanonicalFrame()
         assert (frame.width, frame.height) == (100, 100)
 
-    def test_rejects_wrong_point_count(self):
-        with pytest.raises(ValueError):
-            CanonicalFrame(landmarks=np.zeros((5, 2)))
+    def test_shared_layout_is_read_only(self):
+        assert CanonicalFrame().landmarks is CanonicalFrame().landmarks
+        with pytest.raises(ValueError, match="read-only"):
+            CanonicalFrame().landmarks[0, 0] = 0.0
 
 
 class TestLandmarkValidation:

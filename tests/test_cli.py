@@ -15,7 +15,7 @@ from faceverify.metric import MetricTrainConfig, SyntheticEmbeddingModel, init_m
 from faceverify.micronet import TrainConfig, build_face_net, extract_features
 from faceverify.pipeline import PipelineConfig, load_config, run_pipeline, write_config
 from faceverify.storage import read_checkpoint, read_features, write_checkpoint, write_features, write_metric_model
-from faceverify.templates import read_score_matrix
+from faceverify.templates import read_score_matrix, write_score_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -475,6 +475,33 @@ class TestStageCommands:
         assert capsys.readouterr().err == f"score: error: {model_path}: model data holds NaN or inf\n"
         assert not out.exists()
 
+    def test_score_rejects_scores_that_overflow_before_writing(self, tmp_path, capsys):
+        rng = make_rng(7)
+        gallery, probe, model_path = tmp_path / "g.jvfe", tmp_path / "p.jvfe", tmp_path / "m.jvjb"
+        write_features(gallery, rng.standard_normal((3, 4)), ["g0", "g1", "g2"])
+        write_features(probe, rng.standard_normal((2, 4)), ["p0", "p1"])
+        model = init_model(4, rng)
+        model.M[...] = 1e308  # finite, so the reader takes it
+        write_metric_model(model_path, model)
+        out = tmp_path / "scores.csv"
+        with np.errstate(all="ignore"):
+            rc = main(["score", "--gallery", str(gallery), "--probe", str(probe), "--scorer", "jointbayes",
+                       "--model", str(model_path), "--out", str(out)])
+        assert rc == 1
+        files = f"{gallery}, {probe}, {model_path}"
+        assert capsys.readouterr().err == f"score: error: {files}: score matrix row 0 holds NaN or inf\n"
+        assert not out.exists()
+
+    def test_fuse_rejects_a_sum_that_overflows_before_writing(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            write_score_matrix(path, np.array([[1e308]]), ["g0"], ["p0"])
+        out = tmp_path / "fused.csv"
+        with np.errstate(all="ignore"):
+            assert main(["fuse", "--a", str(a), "--b", str(b), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"fuse: error: {a} + {b}: fused score matrix row 0 holds NaN or inf\n"
+        assert not out.exists()
+
     def test_cosine_score_reads_no_model_file(self, synth_run, tmp_path):
         split = synth_run / "split00"
         unreadable = tmp_path / "m.jvjb"
@@ -684,6 +711,22 @@ class TestTrainExtractCommands:
         assert capsys.readouterr().err.startswith(f"extract: error: {net8}: {message}")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_extract_rejects_features_that_overflow_before_writing(self, net8, tmp_path, capsys):
+        net = read_checkpoint(net8)
+        for _, name, value, _, _ in net.param_items():
+            if name == "weights":
+                value[...] = 1e200  # finite, so the checkpoint reader takes it
+        write_checkpoint(net8, net)
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        pnm.write_pnm(img_dir / "a.pgm", make_rng(4).random((8, 8)))
+        out = tmp_path / "f.jvfe"
+        rc = main(["extract", "--model", str(net8), "--images", str(img_dir), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"extract: error: {net8}: pooled feature row 0 holds NaN or inf\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("h, w", [(10, 8), (12, 10), (9, 12), (8, 8)])
     def test_extract_center_crops_each_axis(self, net8, tmp_path, h, w):
         img_dir = tmp_path / "imgs"
@@ -794,6 +837,16 @@ class TestReportCommand:
         produced = (out / "report.txt").read_text()
         golden = (GOLDEN / "report_demo.txt").read_text()
         assert produced == golden
+
+    def test_diverged_metric_fails_before_it_is_written(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[pipeline]\nsplits = 1\n[metric]\ngamma = 1e308\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["report", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        message = "metric training diverged: M, B or b holds NaN or inf after epoch 1"
+        assert capsys.readouterr().err == f"report: error: {message}\n"
+        assert [p.name for p in (out / "split00").iterdir()] == ["manifest.csv"]  # no metric, no scores
 
     def test_log_level_info_shows_the_split_lines_on_stderr_only(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -386,11 +386,12 @@ class TestTrainStep:
 
 
 class TestWholeNetGradient:
-    def test_loss_gradient_against_finite_differences(self):
+    def test_loss_gradient_against_finite_differences(self, monkeypatch):
         # spot-check end-to-end backprop through conv/prelu/lrn/pool/fc
         from conftest import max_relative_error
 
-        net = build_face_net(num_classes=4, input_size=8, width_divisor=16, dropout_rate=0.0)
+        monkeypatch.setattr(network, "_DROPOUT_RATE", 0.0)
+        net = build_face_net(num_classes=4, input_size=8, width_divisor=16)
         net.initialize(make_rng(2), 0.3)
         x = make_rng(3).random((2, 8, 8, 1))
         labels = np.array([1, 3])

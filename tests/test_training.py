@@ -11,7 +11,9 @@ from faceverify.micronet import (
     augment_batch,
     build_face_net,
     learning_rate_at,
+    network,
     train,
+    training,
 )
 
 
@@ -24,20 +26,20 @@ class TestSchedule:
         # two halvings by iteration 250k
         assert learning_rate_at(cfg, 250_000) == pytest.approx(2.5e-3)
 
-    def test_plain_sgd_step_is_w_minus_lr_grad(self):
-        net = build_face_net(num_classes=4, input_size=8, width_divisor=16, dropout_rate=0.0)
+    def test_plain_sgd_step_is_w_minus_lr_grad(self, monkeypatch):
+        monkeypatch.setattr(training, "MOMENTUM", 0.0)
+        monkeypatch.setattr(training, "WEIGHT_DECAY_FC", 0.0)
+        monkeypatch.setattr(network, "_DROPOUT_RATE", 0.0)
+        net = build_face_net(num_classes=4, input_size=8, width_divisor=16)
         net.initialize(make_rng(0), 0.2)
         before = [value.copy() for _, _, value, _, _ in net.param_items()]
         x = make_rng(1).random((4, 8, 8, 1))
         labels = np.array([0, 1, 2, 3])
 
-        from faceverify.micronet.training import _MomentumSGD
-
-        cfg = TrainConfig(momentum=0.0, weight_decay_fc=0.0)
         net.loss(x, labels, train=True)
         net.backward(labels)
         grads = [grad.copy() for _, _, _, grad, _ in net.param_items()]
-        _MomentumSGD(net, cfg).step(0.05)
+        training._MomentumSGD(net).step(0.05)
         for (layer, name, value, _, _), g, prev in zip(net.param_items(), grads, before):
             npt.assert_array_equal(value, prev - 0.05 * g)
 
@@ -95,13 +97,13 @@ class TestAugment:
 
 
 class TestTrainLoop:
-    def test_full_batch_loss_non_increasing_small_lr(self):
+    def test_full_batch_loss_non_increasing_small_lr(self, monkeypatch):
         images, labels = make_blob_images(n=64, size=16, num_classes=4, seed=8)
         # deterministic full-batch gradient descent: no dropout, no momentum
-        net = build_face_net(num_classes=4, input_size=16, width_divisor=8, dropout_rate=0.0)
-        cfg = TrainConfig(
-            batch_size=64, learning_rate=1e-3, momentum=0.0, max_iters=50, seed=9, init_std=0.1
-        )
+        monkeypatch.setattr(training, "MOMENTUM", 0.0)
+        monkeypatch.setattr(network, "_DROPOUT_RATE", 0.0)
+        net = build_face_net(num_classes=4, input_size=16, width_divisor=8)
+        cfg = TrainConfig(batch_size=64, learning_rate=1e-3, max_iters=50, seed=9, init_std=0.1)
         result = train(net, images, labels, cfg)
         diffs = np.diff(result.losses)
         assert np.all(diffs <= 1e-12), f"loss increased at {np.argmax(diffs > 0)}"
