@@ -180,8 +180,10 @@ def warp_to_canonical(img: np.ndarray, transform: SimilarityTransform, frame: Ca
 
 
 def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
-    """Parse a landmark file: one 'media_path,x0,y0,...,x6,y6' record per line."""
+    """Parse a landmark file: one 'media_path,x0,y0,...,x6,y6' record per
+    line, and at most one record per media path."""
     records: list[tuple[str, LandmarkSet]] = []
+    line_of: dict[str, int] = {}  # media path -> the line of its record
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -190,6 +192,9 @@ def read_landmark_file(path) -> list[tuple[str, LandmarkSet]]:
             parts = line.split(",")
             if len(parts) != 1 + 2 * NUM_LANDMARKS:
                 raise ValueError(f"{path}:{line_no}: expected media path plus {2 * NUM_LANDMARKS} numbers")
+            first = line_of.setdefault(parts[0], line_no)
+            if first != line_no:
+                raise ValueError(f"{path}:{line_no}: a second record for {parts[0]!r}, first on line {first}")
             with naming(f"{path}:{line_no}"):
                 coords = np.array([float(v) for v in parts[1:]], dtype=np.float64).reshape(NUM_LANDMARKS, 2)
             if not np.isfinite(coords).all():

@@ -90,15 +90,7 @@ def _load_images(root: Path, media: list[str], source) -> np.ndarray:
     return np.stack(imgs)
 
 
-def _flag_values(args, flags: dict[str, str]) -> dict:
-    """{field: the value its flag got} for a table of config field ->
-    flag (argparse keeps --crop-size as args.crop_size).  A command
-    builds its config from its table, and names a bad value by its flag
-    through the same table."""
-    return {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
-
-
-# TrainConfig field -> the train-cnn flag that sets it
+# TrainConfig field -> the train-cnn flag that sets it, declared here only
 _TRAIN_CNN_FLAGS = {
     "batch_size": "--batch-size",
     "learning_rate": "--lr",
@@ -127,7 +119,7 @@ def cmd_train_cnn(args) -> int:
         dtype=np.float32 if args.float32 else np.float64,
     )
     with pl.named_as_written(_TRAIN_CNN_FLAGS):
-        cfg = TrainConfig(**_flag_values(args, _TRAIN_CNN_FLAGS))
+        cfg = TrainConfig(**{field: getattr(args, field) for field in _TRAIN_CNN_FLAGS})
     result = train(net, images, labels, cfg)
     storage.write_checkpoint(args.out, net)
     print(f"train-cnn: {result.iterations} iterations, final loss {result.losses[-1]:.4f}, saved {args.out}")
@@ -174,8 +166,8 @@ def cmd_pool(args) -> int:
     return 0
 
 
-# MetricTrainConfig field -> the train-metric flag that sets it
-# (symmetrize_b is set by the absence of --literal-b-update)
+# MetricTrainConfig field -> the train-metric flag that sets it, declared
+# here only (symmetrize_b is set by the absence of --literal-b-update)
 _TRAIN_METRIC_FLAGS = {
     "gamma": "--gamma",
     "gamma_b": "--gamma-b",
@@ -189,7 +181,8 @@ def cmd_train_metric(args) -> int:
     feats, media_ids, subject_of = templates.read_labelled_features(args.features, args.manifest)
     labels = np.array([subject_of[m] for m in media_ids])
     with pl.named_as_written(_TRAIN_METRIC_FLAGS):
-        cfg = MetricTrainConfig(**_flag_values(args, _TRAIN_METRIC_FLAGS), symmetrize_b=not args.literal_b_update)
+        values = {field: getattr(args, field) for field in _TRAIN_METRIC_FLAGS}
+        cfg = MetricTrainConfig(**values, symmetrize_b=not args.literal_b_update)
     model, violations = train_metric(feats, labels, cfg)
     storage.write_metric_model(args.out, model)
     print(
@@ -277,7 +270,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-# PipelineConfig field -> the synth flag that sets it
+# PipelineConfig field -> the synth flag that sets it, declared here only
 _SYNTH_FLAGS = {
     "synth_subjects": "--subjects",
     "synth_samples": "--samples",
@@ -290,24 +283,39 @@ _SYNTH_FLAGS = {
 
 def cmd_synth(args) -> int:
     with pl.named_as_written(_SYNTH_FLAGS):  # every flag is checked before anything is written
-        cfg = pl.PipelineConfig(out_dir=args.out_dir, **_flag_values(args, _SYNTH_FLAGS))
+        cfg = pl.PipelineConfig(out_dir=args.out_dir, **{field: getattr(args, field) for field in _SYNTH_FLAGS})
     out_dir = Path(args.out_dir)
     pl.synthesize_dataset(cfg, out_dir)
-    print(f"synth: {args.subjects * args.samples} features of dim {args.dim} -> {out_dir}")
+    print(f"synth: {cfg.synth_subjects * cfg.synth_samples} features of dim {cfg.synth_dim} -> {out_dir}")
     return 0
 
 
-# PipelineConfig field -> the report flag that overrides it when given
+# PipelineConfig field -> the report flag that overrides it when given, declared here only
 _REPORT_FLAGS = {"seed": "--seed", "splits": "--splits", "scorer": "--scorer", "out_dir": "--out-dir"}
 
 
 def cmd_report(args) -> int:
     cfg = pl.load_config(args.config) if args.config else pl.PipelineConfig()
-    overrides = {key: value for key, value in _flag_values(args, _REPORT_FLAGS).items() if value is not None}
+    overrides = {field: getattr(args, field) for field in _REPORT_FLAGS if getattr(args, field) is not None}
     with pl.named_as_written(_REPORT_FLAGS):
         cfg = replace(cfg, **overrides)
     sys.stdout.write(pl.run_pipeline(cfg))
     return 0
+
+
+def _add_settings(p, flags: dict[str, str], settings, *, overrides: bool = False, **extra: dict) -> None:
+    """Add one option per field -> flag entry of flags, in table order,
+    kept as args.<field>.  A bool field is a store_true switch; any
+    other takes type(default) and the default of settings (a settings
+    class), or None with overrides, so that only a flag given replaces
+    the config's value.  extra[field] adds or replaces argparse keywords."""
+    for field, flag in flags.items():
+        default = getattr(settings, field)
+        if isinstance(default, bool):
+            kwargs = {"action": "store_true"}
+        else:
+            kwargs = {"type": type(default), "default": None if overrides else default}
+        p.add_argument(flag, dest=field, **{**kwargs, **extra.get(field, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,13 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--width-divisor", type=_at_least_one, default=1)
-    p.add_argument("--batch-size", type=_at_least_one, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--iters", type=_at_least_one, default=TrainConfig.max_iters)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--hflip", action="store_true")
-    p.add_argument("--random-crop", action="store_true")
-    p.add_argument("--crop-size", type=_at_least_one, default=TrainConfig.crop_size)
+    positive = {"type": _at_least_one}
+    _add_settings(p, _TRAIN_CNN_FLAGS, TrainConfig, batch_size=positive, max_iters=positive, crop_size=positive)
     p.add_argument("--float32", action="store_true")
     p.set_defaults(fn=cmd_train_cnn)
 
@@ -361,11 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float, default=MetricTrainConfig.gamma)
-    p.add_argument("--gamma-b", type=float, default=MetricTrainConfig.gamma_b)
-    p.add_argument("--ratio", type=int, default=MetricTrainConfig.neg_to_pos_ratio)
-    p.add_argument("--epochs", type=int, default=MetricTrainConfig.epochs)
-    p.add_argument("--seed", type=int, default=MetricTrainConfig.seed)
+    _add_settings(p, _TRAIN_METRIC_FLAGS, MetricTrainConfig)
     p.add_argument("--literal-b-update", action="store_true")
     p.set_defaults(fn=cmd_train_metric)
 
@@ -393,20 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic feature set")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--subjects", type=int, default=pl.PipelineConfig.synth_subjects)
-    p.add_argument("--samples", type=int, default=pl.PipelineConfig.synth_samples)
-    p.add_argument("--dim", type=int, default=pl.PipelineConfig.synth_dim)
-    p.add_argument("--s-mu", type=float, default=pl.PipelineConfig.synth_s_mu)
-    p.add_argument("--s-eps", type=float, default=pl.PipelineConfig.synth_s_eps)
-    p.add_argument("--seed", type=int, default=pl.PipelineConfig.seed)
+    _add_settings(p, _SYNTH_FLAGS, pl.PipelineConfig)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("report", help="run the full pipeline from a config")
     p.add_argument("--config", default="")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--splits", type=int, default=None)
-    p.add_argument("--scorer", choices=templates.SCORERS, default=None)
-    p.add_argument("--out-dir", default=None)
+    _add_settings(p, _REPORT_FLAGS, pl.PipelineConfig, overrides=True, scorer={"choices": templates.SCORERS})
     p.set_defaults(fn=cmd_report)
 
     return parser

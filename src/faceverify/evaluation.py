@@ -78,7 +78,8 @@ class RocCurve:
 
 
 def roc(scores, labels) -> RocCurve:
-    """Empirical ROC from scores and +-1 labels."""
+    """Empirical ROC from scores and labels, either +-1 or a boolean
+    mask that is true where a pair is a match."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -127,7 +128,7 @@ def cmc(sim_matrix, gallery_subjects, probe_subjects) -> np.ndarray:
     same = gallery_subjects[:, None] == probe_subjects[None, :]
     absent = ~same.any(axis=0)
     if absent.any():
-        raise ValueError(f"probe subject {probe_subjects[absent.argmax()]!r} absent from gallery (open set)")
+        raise ValueError(f"probe subject {probe_subjects.tolist()[absent.argmax()]!r} absent from gallery (open set)")
     best = np.where(same, sim, -np.inf).max(axis=0)
     ranks = 1 + ((sim >= best) & ~same).sum(axis=0)
     ks = np.arange(1, len(gallery_subjects) + 1)
@@ -172,14 +173,14 @@ def _roc_lines(curve: RocCurve):
 def evaluate_split(
     scores, gallery_subjects, probe_subjects, fars, ranks, roc_path, cmc_path
 ) -> tuple[dict, dict]:
-    """ROC and CMC of one gallery x probe score matrix, with a pair
-    labelled +1 where gallery and probe subjects agree.  Writes both
+    """ROC and CMC of one gallery x probe score matrix, where a pair is
+    a match when its gallery and probe subjects agree.  Writes both
     curve tables and returns ({far: TAR}, {k: rank-k accuracy}); a rank
     past the gallery size reads the last rank, and a rank below 1 fails
     before anything is written."""
     check_ranks(ranks)
-    labels = np.where(np.asarray(gallery_subjects)[:, None] == np.asarray(probe_subjects)[None, :], 1, -1)
-    curve = roc(np.ravel(scores), labels.ravel())
+    same = np.asarray(gallery_subjects)[:, None] == np.asarray(probe_subjects)[None, :]
+    curve = roc(np.ravel(scores), same.ravel())
     by_rank = cmc(scores, gallery_subjects, probe_subjects)
     emit_curves(curve, by_rank, roc_path, cmc_path)
     tars = {f: tar_at_far(curve, f) for f in fars}

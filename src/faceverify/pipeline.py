@@ -222,38 +222,41 @@ def run_pipeline(cfg: PipelineConfig) -> str:
 def _run_split(cfg: PipelineConfig, feats: np.ndarray, media_ids: list[str], subject_of: dict, s: int):
     """Split s of a run on the given feature set: writes its manifest,
     metric, templates, scores and curves under split<s>/ only, and
-    returns ({far: TAR}, {k: rank-k accuracy})."""
-    split_dir = Path(cfg.out_dir) / f"split{s:02d}"
-    split_dir.mkdir(exist_ok=True)
-    split_rng = make_rng(derive_seed(cfg.seed, _STREAMS["split"] + s))
-    rows = make_split_manifest(media_ids, subject_of, split_rng, cfg.train_fraction, str(s))
-    check_split_disjoint(rows)
-    write_manifest(split_dir / "manifest.csv", rows)
+    returns ({far: TAR}, {k: rank-k accuracy}).  An error in it starts
+    with split<s>."""
+    name = f"split{s:02d}"
+    with naming(name):
+        split_dir = Path(cfg.out_dir) / name
+        split_dir.mkdir(exist_ok=True)
+        split_rng = make_rng(derive_seed(cfg.seed, _STREAMS["split"] + s))
+        rows = make_split_manifest(media_ids, subject_of, split_rng, cfg.train_fraction, str(s))
+        check_split_disjoint(rows)
+        write_manifest(split_dir / "manifest.csv", rows)
 
-    model = None
-    if cfg.scorer == "jointbayes":
-        train_rows = [r for r in rows if r.role == "train"]
-        idx = {m: i for i, m in enumerate(media_ids)}
-        train_feats = feats[[idx[r.media_path] for r in train_rows]]
-        train_labels = np.array([r.subject_id for r in train_rows])
-        mcfg = cfg.metric_config(derive_seed(cfg.seed, _STREAMS["metric"] + s))
-        model, violations = train_metric(train_feats, train_labels, mcfg)
-        write_metric_model(split_dir / "metric.jvjb", model)
-        log.info("split %d: metric violations %.3f -> %.3f", s, violations[0], violations[-1])
+        model = None
+        if cfg.scorer == "jointbayes":
+            train_rows = [r for r in rows if r.role == "train"]
+            idx = {m: i for i, m in enumerate(media_ids)}
+            train_feats = feats[[idx[r.media_path] for r in train_rows]]
+            train_labels = np.array([r.subject_id for r in train_rows])
+            mcfg = cfg.metric_config(derive_seed(cfg.seed, _STREAMS["metric"] + s))
+            model, violations = train_metric(train_feats, train_labels, mcfg)
+            write_metric_model(split_dir / "metric.jvjb", model)
+            log.info("split %d: metric violations %.3f -> %.3f", s, violations[0], violations[-1])
 
-    g_ids, g_subjects, gallery = build_templates(rows, feats, media_ids, role="gallery")
-    p_ids, p_subjects, probe = build_templates(rows, feats, media_ids, role="probe")
-    write_features(split_dir / "gallery.jvfe", gallery, g_ids)
-    write_features(split_dir / "probe.jvfe", probe, p_ids)
+        g_ids, g_subjects, gallery = build_templates(rows, feats, media_ids, role="gallery")
+        p_ids, p_subjects, probe = build_templates(rows, feats, media_ids, role="probe")
+        write_features(split_dir / "gallery.jvfe", gallery, g_ids)
+        write_features(split_dir / "probe.jvfe", probe, p_ids)
 
-    scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
-    write_score_matrix(split_dir / "scores.csv", scores, g_ids, p_ids)
+        scores = score_templates(gallery, probe, scorer=cfg.scorer, model=model)
+        write_score_matrix(split_dir / "scores.csv", scores, g_ids, p_ids)
 
-    tars, accuracies = ev.evaluate_split(
-        scores, g_subjects, p_subjects, cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv"
-    )
-    log.info("split %d done: %s", s, tars)
-    return tars, accuracies
+        tars, accuracies = ev.evaluate_split(
+            scores, g_subjects, p_subjects, cfg.fars, cfg.ranks, split_dir / "roc.csv", split_dir / "cmc.csv"
+        )
+        log.info("split %d done: %s", s, tars)
+        return tars, accuracies
 
 
 # -- config file (key=value INI sections) -----------------------------------

@@ -89,24 +89,33 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
 def read_labelled_features(features_path, manifest_path) -> tuple[np.ndarray, list[str], dict[str, str]]:
     """A feature file plus the subject of every media id in it, read
     from a manifest's media_path,subject_id pairs; a media id the
-    manifest lacks fails naming both files."""
+    manifest lacks fails naming both files, and a media the manifest
+    gives two subjects fails naming the manifest."""
     feats, media_ids = read_features(features_path)
-    subject_of = {r.media_path: r.subject_id for r in read_manifest(manifest_path)}
+    rows = read_manifest(manifest_path)
+    with naming(manifest_path):
+        subject_of = _subject_of("media", ((r.media_path, r.subject_id) for r in rows))
     missing = [m for m in media_ids if m not in subject_of]
     if missing:
         raise ValueError(f"{manifest_path}: lacks media {missing[0]!r} named in {features_path}")
     return feats, media_ids, subject_of
 
 
+def _subject_of(kind: str, pairs) -> dict[str, str]:
+    """{key: subject} from (key, subject) pairs, in first-seen order; a
+    key (a template or media) paired with two subjects is rejected."""
+    subject_of: dict[str, str] = {}
+    for key, subject in pairs:
+        first = subject_of.setdefault(key, subject)
+        if first != subject:
+            raise ValueError(f"{kind} {key} spans subjects {first} and {subject}")
+    return subject_of
+
+
 def template_subjects(rows: list[ManifestRow]) -> dict[str, str]:
     """Subject of each template, in manifest order; a template whose
     rows name two subjects is rejected."""
-    subject_of: dict[str, str] = {}
-    for r in rows:
-        subject = subject_of.setdefault(r.template_id, r.subject_id)
-        if subject != r.subject_id:
-            raise ValueError(f"template {r.template_id} spans subjects {subject} and {r.subject_id}")
-    return subject_of
+    return _subject_of("template", ((r.template_id, r.subject_id) for r in rows))
 
 
 def check_split_disjoint(rows: list[ManifestRow]) -> None:
@@ -145,8 +154,6 @@ def pool_template(features: list[np.ndarray] | np.ndarray) -> np.ndarray:
     feats = np.asarray(features, dtype=np.float64)
     if feats.size == 0:
         raise ValueError("cannot pool an empty feature list")
-    if feats.ndim == 1:
-        feats = feats[None, :]
     mean = feats.mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm == 0.0:

@@ -213,6 +213,15 @@ def test_landmark_file_non_numeric_names_line(tmp_path):
         read_landmark_file(path)
 
 
+def test_landmark_file_rejects_a_second_record_for_one_image(tmp_path):
+    path = tmp_path / "landmarks.csv"
+    row = ",".join(["1"] * 14)
+    path.write_text(f"# header\na.pgm,{row}\nb.pgm,{row}\na.pgm,{row}\n")
+    with pytest.raises(ValueError) as info:
+        read_landmark_file(path)
+    assert str(info.value) == f"{path}:4: a second record for 'a.pgm', first on line 2"
+
+
 def test_landmark_file_rejects_short_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("img.pgm,1,2,3\n")

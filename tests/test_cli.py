@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import replace_spec_text, write_landmark_file
-from faceverify import pnm
+from faceverify import cli, pnm
 from faceverify.align import CanonicalFrame, LandmarkSet, SimilarityTransform
 from faceverify.cli import main
 from faceverify.linalg import make_rng
@@ -113,6 +113,20 @@ class TestAlignCommand:
         rc = main(["align", "--landmarks", str(lm_path), "--images", str(img_dir), "--out", str(out_dir)])
         assert rc == 1
         assert capsys.readouterr().err == f"align: error: {lm_path}:2: a coordinate is NaN or inf\n"
+        assert not out_dir.exists()
+
+    def test_second_landmark_record_for_an_image_names_both_lines_before_writing(self, face_dir, tmp_path, capsys):
+        img_dir, lm_path = face_dir
+        first = lm_path.read_text().splitlines()[0]
+        media, *coords = first.split(",")
+        shifted = ",".join(f"{float(v) + 10:.6f}" for v in coords)  # the same face, 10 px off
+        with open(lm_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{media},{shifted}\n")
+        out_dir = tmp_path / "aligned"
+        rc = main(["align", "--landmarks", str(lm_path), "--images", str(img_dir), "--out", str(out_dir)])
+        assert rc == 1
+        message = f"{lm_path}:4: a second record for {media!r}, first on line 1"
+        assert capsys.readouterr().err == f"align: error: {message}\n"
         assert not out_dir.exists()
 
 
@@ -277,6 +291,20 @@ class TestStageCommands:
                 report.update(zip(header, line.split(",")[1:]))
         assert summary == report
 
+    def test_evaluate_names_a_probe_subject_missing_from_the_gallery(self, synth_run, tmp_path, capsys):
+        split = synth_run / "split00"
+        manifest = tmp_path / "manifest.csv"
+        rows = [line.split(",") for line in (split / "manifest.csv").read_text().splitlines(keepends=True)]
+        probe = next(row[0] for row in rows if row[3] == "probe")
+        # every row of one probe template moves to a subject the gallery lacks
+        manifest.write_text("".join(",".join([row[0], "zz", *row[2:]] if row[0] == probe else row) for row in rows))
+        out_dir = tmp_path / "eval"
+        rc = main(["evaluate", "--scores", str(split / "scores.csv"), "--manifest", str(manifest),
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == "evaluate: error: probe subject 'zz' absent from gallery (open set)\n"
+        assert not (out_dir / "roc.csv").exists()
+
     def test_evaluate_names_manifest_and_missing_id(self, synth_run, tmp_path, capsys):
         split = synth_run / "split00"
         manifest = tmp_path / "manifest.csv"
@@ -391,6 +419,28 @@ class TestStageCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"train-metric: error: {manifest}: lacks media 's0000/m04' named in {features}\n"
+
+    def test_a_media_of_two_subjects_is_rejected_naming_the_manifest(self, synth_run, tmp_path, capsys):
+        features = synth_run / "features.jvfe"
+        manifest = tmp_path / "media.csv"
+        text = (synth_run / "media.csv").read_text()
+        manifest.write_text(text + "t,s0003,s0000/m00,train,all\n")
+        conflict = f"{manifest}: media s0000/m00 spans subjects s0000 and s0003\n"
+        out = tmp_path / "metric.jvjb"
+        rc = main(["train-metric", "--features", str(features), "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"train-metric: error: {conflict}"
+        assert not out.exists()
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[source]\nfeatures_path = {features}\nmanifest_path = {manifest}\n")
+        rc = main(["report", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"report: error: {conflict}"
+        assert not (tmp_path / "out" / "split00").exists()
+        # a media repeated with its one subject stays allowed
+        manifest.write_text(text + "t,s0000,s0000/m00,train,all\n")
+        assert main(["train-metric", "--features", str(features), "--manifest", str(manifest), "--out", str(out),
+                     "--epochs", "1"]) == 0
 
     def test_train_metric_command(self, synth_run, tmp_path):
         run = synth_run
@@ -789,6 +839,24 @@ class TestTrainExtractCommands:
         assert capsys.readouterr().err == f"{command}: error: {source}: no .pgm or .ppm images\n"
 
 
+def test_flags_left_out_give_the_settings_defaults():
+    parser = cli.build_parser()
+    for argv, flags, settings in [
+        (["train-cnn", "--manifest", "m", "--images-root", "r", "--out", "o"], cli._TRAIN_CNN_FLAGS, TrainConfig()),
+        (["train-metric", "--features", "f", "--manifest", "m", "--out", "o"], cli._TRAIN_METRIC_FLAGS,
+         MetricTrainConfig()),
+        (["synth", "--out-dir", "d"], cli._SYNTH_FLAGS, PipelineConfig()),
+    ]:
+        args = parser.parse_args(argv)
+        values = {field: getattr(args, field) for field in flags}
+        defaults = {field: getattr(settings, field) for field in flags}
+        assert values == defaults, argv[0]
+        assert list(map(type, values.values())) == list(map(type, defaults.values())), argv[0]
+    # report's flags only override its config, so each one left out is None
+    args = parser.parse_args(["report"])
+    assert {field: getattr(args, field) for field in cli._REPORT_FLAGS} == dict.fromkeys(cli._REPORT_FLAGS)
+
+
 def test_label_manifest_without_comma_names_line(tmp_path, capsys):
     manifest = tmp_path / "train.csv"
     manifest.write_text("img00.pgm,class0\nimg01.pgm class1\n")
@@ -844,7 +912,7 @@ class TestReportCommand:
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
             assert main(["report", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
-        message = "metric training diverged: M, B or b holds NaN or inf after epoch 1"
+        message = "split00: metric training diverged: M, B or b holds NaN or inf after epoch 1"
         assert capsys.readouterr().err == f"report: error: {message}\n"
         assert [p.name for p in (out / "split00").iterdir()] == ["manifest.csv"]  # no metric, no scores
 
